@@ -27,6 +27,9 @@ fixed Gauss-Legendre panel in u.  Both branches agree to ~1e-12 where they
 meet, and the low-T limits (q -> 1, U -> -sqrt(2/pi) at (J0,J)=(0,1)) come
 out exact by construction.
 
+The RS equations are solved by Anderson-accelerated fixed-point iteration
+(see `sk_rs_fixed_point`).
+
 All functions are pure; `QuadratureRule` instances are read-only and safe
 to share across workers.
 """
@@ -208,13 +211,10 @@ def chain_ground_state_density(params: DisorderParams) -> float:
 
 @dataclass(frozen=True)
 class FixedPointOptions:
-    damping: float = 0.5
     tolerance: float = 1e-12
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
         if self.tolerance <= 0 or self.max_iterations < 1:
             raise ValueError("tolerance and max_iterations must be positive")
 
@@ -236,6 +236,25 @@ class RSOrderParams:
             raise ValueError("residual must be nonnegative")
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    return min(max(x, lo), hi)
+
+
+def rs_starting_point(j0: float, initial: tuple[float, float] | None) -> tuple[float, float]:
+    """Where `sk_rs_fixed_point` starts iterating.
+
+    The default is (0.5*sgn(J0), 0.5).  A warm start `initial` keeps its
+    values but is floored at |m| >= 0.5 (with the sign of J0) and q >= 0.25:
+    m = 0 and q = 0 are roots of the RS equations at every temperature, and a
+    warm start carried over from the paramagnet would otherwise sit on them
+    after the transition, where they are unstable.
+    """
+    sign = float(np.sign(j0))
+    if initial is None:
+        return 0.5 * sign, 0.5
+    return sign * _clip(abs(initial[0]), 0.5, 1.0), _clip(initial[1], 0.25, 1.0)
+
+
 def sk_rs_fixed_point(
     T: float,
     params: DisorderParams,
@@ -243,33 +262,60 @@ def sk_rs_fixed_point(
     options: FixedPointOptions = FixedPointOptions(),
     initial: tuple[float, float] | None = None,
 ) -> RSOrderParams:
-    """Solve the RS equations of state by damped fixed-point iteration.
+    """Solve the RS equations of state by Anderson-accelerated iteration.
 
-    `initial` overrides the default starting point (0.5*sgn(J0), 0.5); the
-    q component is floored away from the trivial root q = 0 so a warm start
-    cannot get stuck on it when a nontrivial solution exists.
+    The plain map x = (m, q) -> G(x) = (E tanh, E tanh^2) is mixed with the
+    previous step (Anderson acceleration of depth 1, Walker & Ni 2011, SIAM
+    J. Numer. Anal. 49, 1715).  With residuals f_k = G(x_k) - x_k and
+    df = f_k - f_{k-1},
+
+        x_{k+1} = G(x_k) - gamma (G(x_k) - G(x_{k-1})),   gamma = df.f_k / df.df,
+
+    which on a one-dimensional map is the secant method.  Iterates are clipped
+    to |m| <= 1, 0 <= q <= 1, and a mixed step that would flip the sign of m
+    falls back to the plain step G(x_k), so the iteration cannot jump to the
+    mirror root -m.
+
+    Like the secant method, the mixing can converge onto a root that plain
+    iteration is repelled from.  The one such root it meets is m = 0 when
+    J0 > 0 and beta J0 (1 - q) > 1 (the ferromagnetic instability), near the
+    point J0 = J = T.  Reaching it, the solver restarts from m = 0.5 with
+    plain iteration, which converges only onto stable roots.  The starting
+    point is `rs_starting_point(J0, initial)`.
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
     beta = 1.0 / T
     j0, j = params.mean, params.std
-    if initial is None:
-        m, q = 0.5 * np.sign(j0), 0.5
-    else:
-        m, q = initial[0], max(initial[1], 0.25)
-    lam = options.damping
-    defect = np.inf
+    m, q = rs_starting_point(j0, initial)
+    prev = None
+    mixing = True
+    defect = math.inf
     for it in range(1, options.max_iterations + 1):
-        a = j * math.sqrt(max(q, 0.0))
+        a = j * math.sqrt(q)
         b = j0 * m
-        fm = _expect_tanh(beta, a, b, rule)
-        fq = _expect_tanh2(beta, a, b, rule)
-        defect = max(abs(m - fm), abs(q - fq))
+        gm = _expect_tanh(beta, a, b, rule)
+        gq = _expect_tanh2(beta, a, b, rule)
+        fm, fq = gm - m, gq - q
+        defect = max(abs(fm), abs(fq))
         if defect <= options.tolerance:
-            return RSOrderParams(m=m, q=min(max(q, 0.0), 1.0), temperature=T,
-                                 residual=defect, iterations=it)
-        m = (1.0 - lam) * m + lam * fm
-        q = (1.0 - lam) * q + lam * fq
+            unstable = (j0 > 0.0 and abs(m) <= math.sqrt(options.tolerance)
+                        and beta * j0 * (1.0 - q) > 1.0)
+            if not (mixing and unstable):
+                return RSOrderParams(m=m, q=q, temperature=T, residual=defect, iterations=it)
+            m, mixing = 0.5, False
+            continue
+        m_next, q_next = gm, gq
+        if mixing and prev is not None:
+            dfm, dfq = fm - prev[0], fq - prev[1]
+            den = dfm * dfm + dfq * dfq
+            if den > 0.0:
+                gamma = (dfm * fm + dfq * fq) / den
+                m_mix = gm - gamma * (gm - prev[2])
+                if m_mix * gm >= 0.0:
+                    m_next, q_next = m_mix, gq - gamma * (gq - prev[3])
+        prev = (fm, fq, gm, gq)
+        m, q = _clip(m_next, -1.0, 1.0), _clip(q_next, 0.0, 1.0)
     raise ConvergenceError(
         f"RS fixed point did not converge within {options.max_iterations} iterations "
         f"(last defect {defect:.3e})",

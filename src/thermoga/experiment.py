@@ -337,7 +337,7 @@ def _run_replica(cfg: ExperimentConfig, replica: int):
 
         measured = selected if cfg.snapshot_policy == "post_selection" else pop
         u_meas = ga.empirical_energy(measured)
-        state = learner.learner_step(state, u_meas, oracle)
+        state = learner.learner_step(state, u_meas, float(u_gibbs[t - 1]))
 
         temp[t] = state.temperature
         u_ga[t] = u_meas

@@ -8,7 +8,8 @@ tournament deterministically copies the population's best member.
 
 Every operator is a pure function of (population, parameters, seed) and
 returns a new immutable Population with freshly cached energies, so
-populations can be shared freely between workers.  Seeds are anything
+populations can be shared freely between workers.  Crossover and mutation
+recompute energies only for the rows they changed.  Seeds are anything
 `numpy.random.default_rng` accepts; `step_generation` additionally accepts
 a `SeedSequence` and derives one child stream per operator.
 """
@@ -139,15 +140,17 @@ def crossover(pop: Population, p_c: float, seed, model: EnergyEvaluator) -> Popu
     do_cross = rng.random(m // 2) < p_c
     cuts = rng.integers(1, n, size=m // 2) if n > 1 else np.ones(m // 2, dtype=np.int64)
     members = pop.members.copy()
-    changed = False
+    touched = []
     for pair_idx in np.nonzero(do_cross)[0]:
         if n == 1:
             continue   # a single-site genome has no interior cut point
         i, j = order[2 * pair_idx], order[2 * pair_idx + 1]
         members[i], members[j] = cross_pair(pop.members[i], pop.members[j], int(cuts[pair_idx]))
-        changed = True
-    energies = model(members) if changed else pop.energies
-    return Population(members=members, energies=energies, generation=pop.generation)
+        touched += [i, j]
+    touched = np.array(touched, dtype=np.intp)
+    # parents that agree past the cut produce children identical to themselves
+    changed = touched[np.any(members[touched] != pop.members[touched], axis=1)]
+    return _recached(pop, members, changed, model)
 
 
 def mutate(pop: Population, p_m: float, seed, model: EnergyEvaluator) -> Population:
@@ -157,7 +160,20 @@ def mutate(pop: Population, p_m: float, seed, model: EnergyEvaluator) -> Populat
     rng = np.random.default_rng(seed)
     flips = rng.random(pop.members.shape) < p_m
     members = np.where(flips, -pop.members, pop.members).astype(np.int8)
-    return Population(members=members, energies=model(members), generation=pop.generation)
+    return _recached(pop, members, np.flatnonzero(flips.any(axis=1)), model)
+
+
+def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,
+              model: EnergyEvaluator) -> Population:
+    """New population whose cached energies are recomputed for `rows` only.
+
+    Every other row is unchanged from `pop`, so its cached energy still holds.
+    """
+    energies = pop.energies
+    if rows.size:
+        energies = energies.copy()
+        energies[rows] = model(members[rows])
+    return Population(members=members, energies=energies, generation=pop.generation)
 
 
 def step_generation(pop: Population, params: GAParams, model: EnergyEvaluator, seed) -> Population:

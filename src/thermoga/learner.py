@@ -68,12 +68,17 @@ class EnergyOracle:
         return float(self.evaluator(T))
 
 
-def learner_step(state: LearnerState, u_ga: float, oracle: EnergyOracle) -> LearnerState:
-    """One forward-Euler update of the effective temperature."""
-    if not math.isfinite(u_ga):
-        raise DomainError("population energy must be finite")
+def learner_step(state: LearnerState, u_ga: float, u_model: float) -> LearnerState:
+    """One forward-Euler update of the effective temperature.
+
+    `u_model` is the oracle's U(T) at `state.temperature`.  The caller
+    evaluates it, so a campaign that records U(T) for every generation
+    anyway needs one oracle call per generation.
+    """
+    if not (math.isfinite(u_ga) and math.isfinite(u_model)):
+        raise DomainError("population and model energies must be finite")
     t = state.temperature
-    gap = oracle.energy(t) - u_ga
+    gap = u_model - u_ga
     t_new = max(state.t_floor, t - state.learning_rate * t * t * gap)
     return replace(state, temperature=t_new, generation=state.generation + 1)
 

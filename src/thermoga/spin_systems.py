@@ -166,7 +166,9 @@ def sk_energies(members: np.ndarray, d: SKDisorder, pair_convention: str | None 
     m = np.atleast_2d(members).astype(np.float64)
     if m.shape[1] != d.n:
         raise DimensionMismatchError(f"configurations have {m.shape[1]} spins, disorder has {d.n}")
-    quad = np.einsum("si,ij,sj->s", m, d.couplings, m)   # = 2 sum_{i<j} J_ij s_i s_j
+    h = m @ d.couplings          # local fields, one BLAS call for the whole batch
+    h *= m
+    quad = h.sum(axis=1)         # = 2 sum_{i<j} J_ij s_i s_j
     scale = 1.0 / d.n if conv == "ordered" else 0.5 / d.n
     return -scale * quad
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import thermoga as tg
+from thermoga import analytic
 from thermoga.errors import (
     ConvergenceError,
     DegenerateDisorderError,
@@ -132,6 +133,28 @@ class TestChainGroundStateDensity:
         assert abs(tg.chain_ground_state_density(params) - mc) < 3 * se
 
 
+def damped_rs_reference(T, params, initial, damping=0.5, tolerance=1e-12,
+                        max_iterations=100_000):
+    """The damped iteration the accelerated solver replaced, from the same start."""
+    beta = 1.0 / T
+    j0, j = params.mean, params.std
+    m, q = analytic.rs_starting_point(j0, initial)
+    for _ in range(max_iterations):
+        a = j * math.sqrt(max(q, 0.0))
+        b = j0 * m
+        fm = analytic._expect_tanh(beta, a, b, tg.DEFAULT_RULE)
+        fq = analytic._expect_tanh2(beta, a, b, tg.DEFAULT_RULE)
+        if max(abs(m - fm), abs(q - fq)) <= tolerance:
+            return m, q
+        m = (1.0 - damping) * m + damping * fm
+        q = (1.0 - damping) * q + damping * fq
+    raise AssertionError(f"reference iteration did not converge at T = {T}")
+
+
+RS_GRID_J0 = (0.0, 0.5, 1.2, 2.0, 4.0)
+RS_GRID_T = np.geomspace(10.0, 0.05, 50)
+
+
 class TestRSFixedPoint:
     def test_paramagnetic_solution(self):
         rs = tg.sk_rs_fixed_point(2.0, SK_01)
@@ -172,6 +195,49 @@ class TestRSFixedPoint:
     def test_overlap_nonincreasing_in_temperature(self):
         qs = [tg.sk_rs_fixed_point(float(T), SK_01).q for T in np.linspace(0.1, 2.5, 15)]
         assert np.all(np.diff(qs) <= 1e-9)
+
+    def test_matches_damped_iteration_on_cooling_grid(self):
+        # warm-started from the previous temperature, as analytic_sk_oracle does
+        for j0 in RS_GRID_J0:
+            params = tg.DisorderParams(j0, 1.0, tg.ModelKind.SK)
+            warm, warm_ref = None, None
+            for T in map(float, RS_GRID_T):
+                rs = tg.sk_rs_fixed_point(T, params, initial=warm)
+                m_ref, q_ref = damped_rs_reference(T, params, warm_ref)
+                assert abs(rs.m - m_ref) <= 1e-9 and abs(rs.q - q_ref) <= 1e-9, (j0, T)
+                if j0 == 0.0 and T < 1.0:
+                    assert rs.q > 0.0, T
+                warm, warm_ref = (rs.m, rs.q), (m_ref, q_ref)
+
+    def test_paramagnetic_warm_start_reaches_ferromagnet(self):
+        # m = 0 solves the equations at every T; below T = J0 it is unstable
+        params = tg.DisorderParams(2.0, 1.0, tg.ModelKind.SK)
+        para = tg.sk_rs_fixed_point(3.0, params)
+        assert abs(para.m) < 1e-10
+        warm = tg.sk_rs_fixed_point(1.0, params, initial=(para.m, para.q))
+        cold = tg.sk_rs_fixed_point(1.0, params)
+        assert warm.m > 0.5
+        assert warm.m == pytest.approx(cold.m, abs=1e-10)
+        assert warm.q == pytest.approx(cold.q, abs=1e-10)
+
+    def test_near_multicritical_point_finds_stable_root(self):
+        # Unguarded secant steps settle on unstable roots here: m = 0 at the
+        # first two points (the stable m is about 0.04 and 0.03), q = 0 at the
+        # third (the stable q is about 0.02).
+        for j0, T in ((1.01, 0.91), (1.06, 1.05), (0.9, 0.98)):
+            params = tg.DisorderParams(j0, 1.0, tg.ModelKind.SK)
+            rs = tg.sk_rs_fixed_point(T, params)
+            m_ref, q_ref = damped_rs_reference(T, params, None)
+            assert abs(rs.m - m_ref) <= 1e-9 and abs(rs.q - q_ref) <= 1e-9, (j0, T)
+
+    def test_few_iterations_in_the_paramagnet(self):
+        # the temperature range an SK campaign's learner spends its time in
+        warm, iterations = None, []
+        for T in np.linspace(10.0, 7.25, 50):
+            rs = tg.sk_rs_fixed_point(float(T), SK_01, initial=warm)
+            warm = (rs.m, rs.q)
+            iterations.append(rs.iterations)
+        assert max(iterations) <= 10
 
     def test_convergence_error_carries_iterate(self):
         opts = tg.FixedPointOptions(max_iterations=2)

@@ -1,8 +1,13 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermoga as tg
-from thermoga import cli, experiment
+from thermoga import analytic, cli, experiment
+from thermoga.errors import ConvergenceError
 
 
 def tiny_chain_config(out, generations=5, replicas=2, name="tiny"):
@@ -131,6 +136,66 @@ class TestRunExperiment:
             oracle="enumeration", output_dir=str(tmp_path / "enum"))
         summary = experiment.run_experiment(cfg)
         assert summary.temperature.shape == (1, 4)
+
+
+class TestOracleCalls:
+    @settings(max_examples=8, deadline=None)
+    @given(generations=st.integers(1, 12), replicas=st.integers(1, 3))
+    def test_one_oracle_evaluation_per_generation(self, generations, replicas):
+        calls = []
+        original = experiment._build_oracle
+
+        def counting(cfg, disorder, replica):
+            oracle = original(cfg, disorder, replica)
+            return tg.EnergyOracle(
+                evaluator=lambda T: calls.append(replica) or oracle.energy(T), kind=oracle.kind)
+
+        with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "_build_oracle", counting)
+            experiment.run_experiment(
+                tiny_chain_config(out, generations=generations, replicas=replicas))
+        assert [calls.count(r) for r in range(replicas)] == [generations + 1] * replicas
+
+
+class TestReplicaFailures:
+    def test_failing_replica_recorded_others_finish(self, tmp_path, monkeypatch):
+        original = experiment._build_oracle
+
+        def build(cfg, disorder, replica):
+            if replica != 1:
+                return original(cfg, disorder, replica)
+
+            def fail(T):
+                raise ConvergenceError("RS fixed point did not converge", residual=1.0)
+            return tg.EnergyOracle(evaluator=fail, kind=cfg.oracle)
+
+        monkeypatch.setattr(experiment, "_build_oracle", build)
+        summary = experiment.run_experiment(tiny_chain_config(tmp_path / "f", replicas=3))
+        assert [r for r, _ in summary.replica_failures] == [1]
+        assert summary.temperature.shape == (2, 6)
+        names = {p.name for p in summary.output_dir.iterdir()}
+        assert {"replica_00.tsv", "replica_02.tsv", "failures.txt"} <= names
+        assert "replica_01.tsv" not in names
+        text = (summary.output_dir / "failures.txt").read_text()
+        assert text.startswith("replica 1: ConvergenceError")
+        assert text.count("\n") == 1
+
+    def test_all_replicas_failing_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        # the real RS solver, held to a budget it cannot meet, fails every replica
+        budget = analytic.FixedPointOptions(max_iterations=1)
+        monkeypatch.setattr(analytic, "FixedPointOptions", lambda: budget)
+        n = 16
+        cfg = experiment.ExperimentConfig(
+            name="sk-fail", model=tg.ModelKind.SK, n=n,
+            ga=tg.GAParams(population_size=10, genome_length=n),
+            disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
+            t0=5.0, learning_rate=1e-3, generations=3, replicas=2, seed=17,
+            oracle="analytic_sk", output_dir=str(tmp_path / "sk"))
+        path = tmp_path / "sk.ini"
+        path.write_text(experiment.serialize_config(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_NUMERIC == 4
+        err = capsys.readouterr().err
+        assert "all 2 replicas failed" in err and err.count("ConvergenceError") == 2
 
 
 class TestOutputResolution:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import thermoga as tg
@@ -153,6 +155,71 @@ class TestCrossover:
         pop = tg.init_population(make_params(), model, 15)
         out = tg.crossover(pop, 1.0, 16, model)
         assert np.array_equal(out.energies, tg.chain_energies(out.members, d))
+
+
+def _random_disorder(kind, n, seed):
+    if kind is CHAIN:
+        return tg.sample_chain_disorder(n, tg.DisorderParams(0.0, 1.0, CHAIN), seed)
+    return tg.sample_sk_disorder(n, tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK), seed)
+
+
+GA_CASES = dict(
+    n=st.integers(2, 40),
+    pairs=st.integers(1, 12),
+    p_c=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    p_m=st.sampled_from([0.0, 0.001, 0.02, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestChangedRowEnergies:
+    """Crossover and mutation re-cache only the rows they change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**GA_CASES)
+    def test_chain_equals_full_recompute_exactly(self, n, pairs, p_c, p_m, seed):
+        model = tg.chain_evaluator(_random_disorder(CHAIN, n, seed))
+        pop = tg.init_population(make_params(population_size=2 * pairs, genome_length=n),
+                                 model, seed + 1)
+        crossed = tg.crossover(pop, p_c, seed + 2, model)
+        assert np.array_equal(crossed.energies, model(crossed.members))
+        mutated = tg.mutate(crossed, p_m, seed + 3, model)
+        assert np.array_equal(mutated.energies, model(mutated.members))
+
+    @settings(max_examples=60, deadline=None)
+    @given(convention=st.sampled_from(["ordered", "unordered"]), **GA_CASES)
+    def test_sk_equals_full_recompute(self, convention, n, pairs, p_c, p_m, seed):
+        d = _random_disorder(tg.ModelKind.SK, n, seed)
+        model = tg.sk_evaluator(d, convention)
+        pop = tg.init_population(make_params(population_size=2 * pairs, genome_length=n),
+                                 model, seed + 1)
+        mutated = tg.mutate(tg.crossover(pop, p_c, seed + 2, model), p_m, seed + 3, model)
+        e_max = np.abs(d.couplings).sum() / n    # no row's |E| exceeds this
+        assert np.all(np.abs(mutated.energies - model(mutated.members)) <= 1e-12 * e_max)
+
+    def test_only_changed_rows_are_recomputed(self, chain_setup):
+        d, _ = chain_setup
+        seen = []
+
+        def model(members):
+            seen.append(members.shape[0])
+            return tg.chain_energies(members, d)
+
+        pop = tg.init_population(make_params(), model, 41)
+        seen.clear()
+        out = tg.mutate(pop, 0.01, 42, model)
+        changed = int(np.count_nonzero(np.any(out.members != pop.members, axis=1)))
+        assert sum(seen) == changed < pop.size
+
+    def test_identical_parents_need_no_recompute(self, chain_setup):
+        _, model = chain_setup
+        calls = []
+        pop = tg.init_population(make_params(), model, 43)
+        clones = tg.Population(members=np.repeat(pop.members[:1], pop.size, axis=0),
+                               energies=np.repeat(pop.energies[:1], pop.size), generation=0)
+        out = tg.crossover(clones, 1.0, 44, lambda m: calls.append(m) or model(m))
+        assert calls == []
+        assert out.energies is clones.energies
 
 
 class TestMutate:

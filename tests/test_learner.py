@@ -8,38 +8,34 @@ CHAIN_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN)
 SK_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK)
 
 
-def constant_oracle(value):
-    return tg.EnergyOracle(evaluator=lambda T: value, kind="enumeration")
-
-
 class TestLearnerStep:
     def test_stationary_when_energies_match(self):
         state = tg.LearnerState(temperature=1.5, learning_rate=0.1)
-        out = tg.learner_step(state, -3.0, constant_oracle(-3.0))
+        out = tg.learner_step(state, -3.0, -3.0)
         assert out.temperature == state.temperature
         assert out.generation == 1
 
     def test_cooling_direction(self):
         # population colder than the model: U(T) - u_ga > 0 lowers T
         state = tg.LearnerState(temperature=2.0, learning_rate=0.01)
-        out = tg.learner_step(state, -10.0, constant_oracle(-5.0))
+        out = tg.learner_step(state, -10.0, -5.0)
         assert out.temperature < 2.0
 
     def test_heating_direction(self):
         state = tg.LearnerState(temperature=2.0, learning_rate=0.01)
-        out = tg.learner_step(state, -2.0, constant_oracle(-5.0))
+        out = tg.learner_step(state, -2.0, -5.0)
         assert out.temperature > 2.0
 
     def test_zero_learning_rate_identity(self):
         state = tg.LearnerState(temperature=3.0, learning_rate=0.0)
-        out = tg.learner_step(state, 100.0, constant_oracle(-5.0))
+        out = tg.learner_step(state, 100.0, -5.0)
         assert out.temperature == 3.0
 
     def test_floor_clamp_under_adversarial_input(self):
         state = tg.LearnerState(temperature=1.0, learning_rate=1.0, t_floor=1e-6)
-        out = tg.learner_step(state, -1e12, constant_oracle(0.0))
+        out = tg.learner_step(state, -1e12, 0.0)
         assert out.temperature == 1e-6
-        out2 = tg.learner_step(out, -1e12, constant_oracle(0.0))
+        out2 = tg.learner_step(out, -1e12, 0.0)
         assert out2.temperature >= 1e-6
 
     def test_descent_direction_sign(self):
@@ -49,14 +45,14 @@ class TestLearnerStep:
             u_model = float(rng.normal(0, 10))
             u_pop = float(rng.normal(0, 10))
             state = tg.LearnerState(temperature=t, learning_rate=1e-4)
-            out = tg.learner_step(state, u_pop, constant_oracle(u_model))
+            out = tg.learner_step(state, u_pop, u_model)
             if out.temperature > state.t_floor:
                 assert np.sign(out.temperature - t) == -np.sign(u_model - u_pop) or u_model == u_pop
 
     def test_nonfinite_input_rejected(self):
         state = tg.LearnerState(temperature=1.0)
         with pytest.raises(DomainError):
-            tg.learner_step(state, float("nan"), constant_oracle(0.0))
+            tg.learner_step(state, float("nan"), 0.0)
 
 
 class TestMatchTemperature:
@@ -90,7 +86,7 @@ def test_learner_converges_to_matched_temperature():
     t_star = tg.match_temperature(u_target, oracle, (0.1, 5.0))
     state = tg.LearnerState(temperature=1.4, learning_rate=1e-3)
     for _ in range(800):
-        state = tg.learner_step(state, u_target, oracle)
+        state = tg.learner_step(state, u_target, oracle.energy(state.temperature))
     assert abs(state.temperature - t_star) < 1e-3
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermoga as tg
 from thermoga.errors import (
@@ -160,6 +164,24 @@ class TestSKEnergy:
         c[0, 1] = 1.0
         with pytest.raises(ValueError):
             tg.SKDisorder(couplings=c, params=sk_params())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 30), rows=st.integers(1, 12),
+           convention=st.sampled_from(["ordered", "unordered"]),
+           mean=st.sampled_from([0.0, 0.7, -1.5]), seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_double_sum(self, n, rows, convention, mean, seed):
+        d = tg.sample_sk_disorder(n, sk_params(mean, 1.0), seed)
+        members = np.random.default_rng(seed).integers(0, 2, (rows, n), dtype=np.int8) * 2 - 1
+        batch = tg.sk_energies(members, d, convention)
+        scale = (1.0 if convention == "ordered" else 0.5) / n
+        tol = 1e-12 * scale * np.abs(d.couplings).sum()   # relative to the largest |E|
+        for k, s in enumerate(members):
+            brute = -scale * math.fsum(d.couplings[i, j] * s[i] * s[j]
+                                       for i in range(n) for j in range(n) if i != j)
+            single = tg.sk_energies(s[None, :], d, convention)[0]
+            assert abs(batch[k] - brute) <= tol
+            assert abs(single - brute) <= tol
+            assert abs(batch[k] - single) <= tol
 
 
 class TestChainGroundState:
