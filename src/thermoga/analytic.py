@@ -240,15 +240,21 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def rs_starting_point(j0: float, initial: tuple[float, float] | None) -> tuple[float, float]:
-    """Where `sk_rs_fixed_point` starts iterating.
+def rs_starting_point(T: float, params: DisorderParams,
+                      initial: tuple[float, float] | None) -> tuple[float, float]:
+    """Where `sk_rs_fixed_point` starts iterating at temperature T.
 
-    The default is (0.5*sgn(J0), 0.5).  A warm start `initial` keeps its
+    In the paramagnet, beta J < 1 and beta |J0| < 1, (0, 0) is the only root:
+    the warm start `initial` is used as it is, and (0, 0) without one.
+    Elsewhere the default is (0.5*sgn(J0), 0.5), and a warm start keeps its
     values but is floored at |m| >= 0.5 (with the sign of J0) and q >= 0.25:
     m = 0 and q = 0 are roots of the RS equations at every temperature, and a
     warm start carried over from the paramagnet would otherwise sit on them
     after the transition, where they are unstable.
     """
+    j0, j = params.mean, params.std
+    if T > j and T > abs(j0):
+        return (0.0, 0.0) if initial is None else (initial[0], initial[1])
     sign = float(np.sign(j0))
     if initial is None:
         return 0.5 * sign, 0.5
@@ -281,13 +287,13 @@ def sk_rs_fixed_point(
     J0 > 0 and beta J0 (1 - q) > 1 (the ferromagnetic instability), near the
     point J0 = J = T.  Reaching it, the solver restarts from m = 0.5 with
     plain iteration, which converges only onto stable roots.  The starting
-    point is `rs_starting_point(J0, initial)`.
+    point is `rs_starting_point(T, params, initial)`.
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
     beta = 1.0 / T
     j0, j = params.mean, params.std
-    m, q = rs_starting_point(j0, initial)
+    m, q = rs_starting_point(T, params, initial)
     prev = None
     mixing = True
     defect = math.inf

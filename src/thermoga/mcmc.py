@@ -1,16 +1,14 @@
 """Metropolis single-spin-flip sampling and exact small-system expectations.
 
 A sweep makes one single-site proposal per spin with the local energy
-difference dH and acceptance min(1, exp(-dH/T)).  Proposal order is fixed:
-even sites in ascending order, then odd sites.  On the chain the two
-sublattices do not interact, which lets each half-sweep run vectorized
-while remaining identical to the same proposals made one at a time.  The
-fully connected model offers no such split, so its sweep walks the sites
-sequentially with an incrementally updated local-field cache.
-
-Independent chains are merged by a pure reduction (mean of chain means,
-standard error from the between-chain variance), mirroring the usual
-error-bar convention of averaging a handful of independent runs.
+difference dH and acceptance min(1, exp(-dH/T)).  The chain proposes even
+sites, then odd: the two sublattices do not interact, so each half-sweep is
+one array operation yet identical to the same proposals made one at a time.
+SK walks its sites in ascending order with an incrementally updated field
+cache.  All walkers of an estimate advance together as one (walkers, N)
+array, each drawing from its own generator, so its trajectory does not
+depend on the walkers beside it.  Chains merge by a pure reduction (mean of
+chain means, standard error from the between-chain variance).
 """
 
 from __future__ import annotations
@@ -32,6 +30,9 @@ from .spin_systems import (
     sk_energies,
 )
 
+_UNIFORM_DOUBLES = 1 << 15   # uniforms drawn per block, summed over walkers
+_GROUND_INIT_MAX_T = 20.0
+
 
 @dataclass(frozen=True)
 class MCMCOptions:
@@ -48,112 +49,109 @@ class MCMCOptions:
 
 
 def chain_flip_costs(s: np.ndarray, d: ChainDisorder) -> np.ndarray:
-    """Energy change from flipping each site alone: 2 s_i (J_{i-1} s_{i-1} + J_i s_{i+1})."""
+    """Flip costs 2 s_i (J_{i-1} s_{i-1} + J_i s_{i+1}) of one row or a (walkers, N) batch."""
     s = np.asarray(s, dtype=np.float64)
-    f = np.zeros(s.size)
-    f[1:] += d.bonds * s[:-1]
-    f[:-1] += d.bonds * s[1:]
+    f = np.zeros(s.shape)
+    f[..., 1:] += d.bonds * s[..., :-1]
+    f[..., :-1] += d.bonds * s[..., 1:]
     return 2.0 * s * f
+
+
+def _sk_flip_scale(n: int, pair_convention: str | None) -> float:
+    """dH of flipping s_k is scale * s_k * (C s)_k: 4/N over ordered pairs, 2/N over unordered."""
+    return 4.0 / n if (pair_convention or SK_PAIR_CONVENTION) == "ordered" else 2.0 / n
 
 
 def sk_flip_costs(s: np.ndarray, d: SKDisorder, pair_convention: str | None = None) -> np.ndarray:
     """Energy change from flipping each site alone under the SK Hamiltonian."""
-    conv = pair_convention or SK_PAIR_CONVENTION
-    scale = 4.0 / d.n if conv == "ordered" else 2.0 / d.n
     s = np.asarray(s, dtype=np.float64)
-    return scale * s * (d.couplings @ s)
+    return _sk_flip_scale(d.n, pair_convention) * s * (d.couplings @ s)
 
 
-def _chain_sweep_inplace(s: np.ndarray, d: ChainDisorder, T: float, rng) -> None:
-    u = rng.random(s.size)
+def _chain_sweep(s: np.ndarray, d: ChainDisorder, T: float, u: np.ndarray) -> None:
+    """Two half-sweeps of every walker; s and u are (walkers, N)."""
     for parity in (0, 1):
-        costs = chain_flip_costs(s, d)[parity::2]
-        accept = u[parity::2] < np.exp(-np.maximum(costs, 0.0) / T)
-        sub = s[parity::2]
-        sub[accept] = -sub[accept]
+        costs = chain_flip_costs(s, d)[:, parity::2]
+        sub = s[:, parity::2]
+        np.negative(sub, out=sub, where=u[:, parity::2] < np.exp(-np.maximum(costs, 0.0) / T))
 
 
-def _sk_sweep_inplace(s: np.ndarray, d: SKDisorder, T: float, rng,
-                      h: np.ndarray, two_c: float) -> None:
-    u = rng.random(s.size)
-    coup = d.couplings
-    for k in range(s.size):
-        cost = two_c * s[k] * h[k]
-        if cost <= 0.0 or u[k] < math.exp(-cost / T):
-            old = s[k]
-            s[k] = -old
-            h -= (2.0 * old) * coup[:, k]
+def _sk_sweep(s, h, d: SKDisorder, scale: float, T: float, u: np.ndarray) -> None:
+    """One sweep of every walker; s and its fields h are (N, walkers), u is (walkers, N)."""
+    cols, zero = d.couplings[:, :, None], np.zeros(s.shape[1])   # symmetric: row k = column k
+    for k, uk in enumerate(u.T):
+        sk = s[k]
+        # exp(min(-dH, 0) / T) equals the chain's exp(-max(dH, 0) / T), one operation fewer
+        delta = (2.0 * sk) * (uk < np.exp(np.minimum(-scale * sk * h[k], zero) / T))
+        h -= cols[k] * delta
+        sk -= delta
+
+
+def _walk(s: np.ndarray, d, T: float, rngs, sweeps: int, pair_convention: str | None = None,
+          samples: range = range(0)) -> np.ndarray | None:
+    """Advance walkers `s` (walkers, N) in place; mean energies over the 0-based `samples`.
+
+    Walker w draws from `rngs[w]` in blocks, the stream of one `rng.random(N)` per sweep.
+    """
+    walkers, n = s.shape
+    sk = isinstance(d, SKDisorder)
+    if sk:
+        state = np.array(s.T, dtype=np.float64, order="C")   # walker-contiguous
+        h = np.stack([d.couplings @ row for row in s.astype(np.float64)], axis=1)
+        scale, rows = _sk_flip_scale(n, pair_convention), state.T
+    else:
+        state = rows = s.astype(np.float64)
+    block = max(1, _UNIFORM_DOUBLES // (walkers * n))
+    u = np.empty((walkers, min(block, sweeps), n))
+    totals = np.zeros(walkers)
+    for start in range(0, sweeps, block):
+        size = min(block, sweeps - start)
+        for w, rng in enumerate(rngs):
+            rng.random(out=u[w, :size])
+        for t in range(size):
+            with np.errstate(under="ignore"):   # an acceptance underflowing to 0 is exact
+                if sk:
+                    _sk_sweep(state, h, d, scale, T, u[:, t])
+                else:
+                    _chain_sweep(state, d, T, u[:, t])
+            if start + t in samples:
+                totals += sk_energies(rows, d, pair_convention) if sk else chain_energies(rows, d)
+    s[...] = rows
+    return totals / len(samples) if samples else None
 
 
 def metropolis_sweep(s, d, T: float, seed, pair_convention: str | None = None) -> np.ndarray:
     """One Metropolis sweep (N single-site proposals); returns a new configuration."""
     if T <= 0:
         raise DomainError("temperature must be positive")
-    rng = np.random.default_rng(seed)
     out = np.array(s, dtype=np.int8)
-    if isinstance(d, ChainDisorder):
-        _chain_sweep_inplace(out, d, T, rng)
-    else:
-        conv = pair_convention or SK_PAIR_CONVENTION
-        two_c = 4.0 / d.n if conv == "ordered" else 2.0 / d.n
-        h = d.couplings @ out.astype(np.float64)
-        _sk_sweep_inplace(out, d, T, rng, h, two_c)
+    _walk(out[None, :], d, T, [np.random.default_rng(seed)], 1, pair_convention)
     out.setflags(write=False)
     return out
 
 
-_GROUND_INIT_MAX_T = 20.0
-
-
-def _run_chain_mean(d, T, opts: MCMCOptions, rng, pair_convention) -> float:
-    """Time-averaged energy of one chain after burn-in, thinned.
-
-    Chain walkers at low temperature start from the exact ground state: that
-    equilibrium is the ground state plus dilute local excitations, which
-    build up within a few sweeps, whereas a random start leaves domain walls
-    trapped behind strong bonds for exponentially long.  At high temperature
-    the bias reverses (near-certain acceptance freezes the bond variables,
-    and the equilibrium is the uniform ensemble), so hot walkers start from
-    random configurations, as does the fully connected model, which has no
-    ground-state oracle at all.
-    """
-    n = d.n
-    sk_state = None
-    if isinstance(d, SKDisorder):
-        s = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1)
-        conv = pair_convention or SK_PAIR_CONVENTION
-        two_c = 4.0 / n if conv == "ordered" else 2.0 / n
-        sk_state = (d.couplings @ s.astype(np.float64), two_c)
-    elif T <= _GROUND_INIT_MAX_T:
-        s = chain_ground_state(d)[1].copy()
-    else:
-        s = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1)
-    total, count = 0.0, 0
-    for sweep in range(opts.sweeps):
-        if sk_state is None:
-            _chain_sweep_inplace(s, d, T, rng)
-        else:
-            _sk_sweep_inplace(s, d, T, rng, sk_state[0], sk_state[1])
-        if sweep >= opts.burn_in and (sweep - opts.burn_in) % opts.thinning == 0:
-            if sk_state is None:
-                total += float(chain_energies(s[None, :], d)[0])
-            else:
-                total += float(sk_energies(s[None, :], d, pair_convention)[0])
-            count += 1
-    return total / count
-
-
 def estimate_internal_energy(d, T: float, opts: MCMCOptions, seed,
                              pair_convention: str | None = None) -> tuple[float, float]:
-    """Gibbs internal energy estimate: (mean over chains, between-chain std error)."""
+    """Gibbs internal energy estimate: (mean over chains, between-chain std error).
+
+    Each chain is a walker with its own generator spawned from `seed`,
+    averaging its energy over the sweeps after burn-in, thinned.  Chain
+    walkers at low temperature start from the exact ground state: that
+    equilibrium is the ground state plus dilute local excitations, whereas a
+    random start traps domain walls behind strong bonds for exponentially
+    long.  Hot walkers (near-certain acceptance freezes the bond variables;
+    the equilibrium is uniform) start at random, as do SK walkers.
+    """
     if T <= 0:
         raise DomainError("temperature must be positive")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    means = [
-        _run_chain_mean(d, T, opts, np.random.default_rng(child), pair_convention)
-        for child in ss.spawn(opts.chains)
-    ]
-    means = np.asarray(means)
+    rngs = [np.random.default_rng(child) for child in ss.spawn(opts.chains)]
+    if isinstance(d, ChainDisorder) and T <= _GROUND_INIT_MAX_T:
+        s = np.tile(chain_ground_state(d)[1], (opts.chains, 1))
+    else:
+        s = np.stack([rng.integers(0, 2, size=d.n, dtype=np.int8) * 2 - 1 for rng in rngs])
+    means = _walk(s, d, T, rngs, opts.sweeps, pair_convention,
+                  range(opts.burn_in, opts.sweeps, opts.thinning))
     if opts.chains == 1:
         return float(means[0]), 0.0
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(opts.chains))

@@ -138,7 +138,7 @@ def damped_rs_reference(T, params, initial, damping=0.5, tolerance=1e-12,
     """The damped iteration the accelerated solver replaced, from the same start."""
     beta = 1.0 / T
     j0, j = params.mean, params.std
-    m, q = analytic.rs_starting_point(j0, initial)
+    m, q = analytic.rs_starting_point(T, params, initial)
     for _ in range(max_iterations):
         a = j * math.sqrt(max(q, 0.0))
         b = j0 * m
@@ -208,6 +208,27 @@ class TestRSFixedPoint:
                 if j0 == 0.0 and T < 1.0:
                     assert rs.q > 0.0, T
                 warm, warm_ref = (rs.m, rs.q), (m_ref, q_ref)
+
+    def test_paramagnetic_start_matches_floored_solve_on_cooling_grid(self):
+        # In the paramagnet the solve starts from the previous solution, or (0, 0),
+        # rather than from the floored point (|m| >= 0.5, q >= 0.25) used elsewhere;
+        # both must reach the same root.
+        def floored(j0, initial):
+            sign = float(np.sign(j0))
+            if initial is None:
+                return 0.5 * sign, 0.5
+            return sign * min(max(abs(initial[0]), 0.5), 1.0), min(max(initial[1], 0.25), 1.0)
+
+        for j0 in RS_GRID_J0:
+            params = tg.DisorderParams(j0, 1.0, tg.ModelKind.SK)
+            warm, warm_floored = None, None
+            for T in map(float, RS_GRID_T):
+                rs = tg.sk_rs_fixed_point(T, params, initial=warm)
+                ref = tg.sk_rs_fixed_point(T, params, initial=floored(j0, warm_floored))
+                assert abs(rs.m - ref.m) <= 1e-9 and abs(rs.q - ref.q) <= 1e-9, (j0, T)
+                if T > max(1.0, abs(j0)):
+                    assert rs.iterations <= 2, (j0, T, rs.iterations)
+                warm, warm_floored = (rs.m, rs.q), (ref.m, ref.q)
 
     def test_paramagnetic_warm_start_reaches_ferromagnet(self):
         # m = 0 solves the equations at every T; below T = J0 it is unstable

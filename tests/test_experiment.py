@@ -181,7 +181,9 @@ class TestReplicaFailures:
         assert text.count("\n") == 1
 
     def test_all_replicas_failing_exits_numeric(self, tmp_path, monkeypatch, capsys):
-        # the real RS solver, held to a budget it cannot meet, fails every replica
+        # the real RS solver, held to a budget it cannot meet, fails every replica;
+        # t0 lies below T = J, since in the paramagnet the solve starts on its
+        # root (0, 0) and one iteration suffices
         budget = analytic.FixedPointOptions(max_iterations=1)
         monkeypatch.setattr(analytic, "FixedPointOptions", lambda: budget)
         n = 16
@@ -189,7 +191,7 @@ class TestReplicaFailures:
             name="sk-fail", model=tg.ModelKind.SK, n=n,
             ga=tg.GAParams(population_size=10, genome_length=n),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
-            t0=5.0, learning_rate=1e-3, generations=3, replicas=2, seed=17,
+            t0=0.8, learning_rate=1e-3, generations=3, replicas=2, seed=17,
             oracle="analytic_sk", output_dir=str(tmp_path / "sk"))
         path = tmp_path / "sk.ini"
         path.write_text(experiment.serialize_config(cfg))

@@ -1,9 +1,15 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermoga as tg
+from thermoga import mcmc
 from thermoga.errors import DomainError, SizeCapError
-from thermoga.mcmc import _chain_sweep_inplace
+from thermoga.mcmc import _walk
 
 CHAIN_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN)
 SK_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK)
@@ -123,13 +129,13 @@ def test_detailed_balance_two_spin_histogram():
     probs = weights / weights.sum()
 
     rng = np.random.default_rng(77)
-    s = np.ones(2, dtype=np.int8)
+    s = np.ones((1, 2), dtype=np.int8)
     counts = np.zeros(4)
     n_samples = 60_000
     for k in range(n_samples * 2):
-        _chain_sweep_inplace(s, d, T, rng)
+        _walk(s, d, T, [rng], 1)
         if k % 2:
-            idx = (0 if s[0] == 1 else 2) + (0 if s[1] == 1 else 1)
+            idx = (0 if s[0, 0] == 1 else 2) + (0 if s[0, 1] == 1 else 1)
             counts[idx] += 1
     freqs = counts / n_samples
     for p_hat, p in zip(freqs, probs):
@@ -151,3 +157,156 @@ def test_self_averaging_dispersion_shrinks_with_size():
             densities.append(est / n)
         spreads.append(np.std(densities, ddof=1))
     assert spreads[0] > spreads[1] > spreads[2]
+
+
+# ---------------------------------------------------------------------------
+# batched walkers against the one-walker-at-a-time sampler they replaced
+
+def _serial_chain_sweep(s, d, T, rng):
+    u = rng.random(s.size)
+    for parity in (0, 1):
+        costs = tg.chain_flip_costs(s, d)[parity::2]
+        accept = u[parity::2] < np.exp(-np.maximum(costs, 0.0) / T)
+        sub = s[parity::2]
+        sub[accept] = -sub[accept]
+
+
+def _serial_sk_sweep(s, d, T, rng, h, two_c):
+    u = rng.random(s.size)
+    for k in range(s.size):
+        cost = two_c * s[k] * h[k]
+        if cost <= 0.0 or u[k] < math.exp(-cost / T):
+            old = s[k]
+            s[k] = -old
+            h -= (2.0 * old) * d.couplings[:, k]
+
+
+def _serial_chain_mean(d, T, opts, rng, pair_convention):
+    n = d.n
+    sk_state = None
+    if isinstance(d, tg.SKDisorder):
+        s = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+        conv = pair_convention or tg.SK_PAIR_CONVENTION
+        sk_state = (d.couplings @ s.astype(np.float64), 4.0 / n if conv == "ordered" else 2.0 / n)
+    elif T <= 20.0:
+        s = tg.chain_ground_state(d)[1].copy()
+    else:
+        s = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+    total, count = 0.0, 0
+    for sweep in range(opts.sweeps):
+        if sk_state is None:
+            _serial_chain_sweep(s, d, T, rng)
+        else:
+            _serial_sk_sweep(s, d, T, rng, sk_state[0], sk_state[1])
+        if sweep >= opts.burn_in and (sweep - opts.burn_in) % opts.thinning == 0:
+            if sk_state is None:
+                total += float(tg.chain_energies(s[None, :], d)[0])
+            else:
+                total += float(tg.sk_energies(s[None, :], d, pair_convention)[0])
+            count += 1
+    return total / count
+
+
+def serial_estimate(d, T, opts, seed, pair_convention=None):
+    """The per-chain loop `estimate_internal_energy` ran before walkers were batched."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    means = np.asarray([_serial_chain_mean(d, T, opts, np.random.default_rng(child), pair_convention)
+                        for child in ss.spawn(opts.chains)])
+    if opts.chains == 1:
+        return float(means[0]), 0.0
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(opts.chains))
+
+
+def _disorder(kind, n, seed):
+    if kind == "chain":
+        return tg.sample_chain_disorder(n, CHAIN_01, seed)
+    return tg.sample_sk_disorder(n, SK_01, seed)
+
+
+def _assert_matches_serial(d, got, ref):
+    if isinstance(d, tg.ChainDisorder):
+        assert got == ref
+    else:
+        # relative to the value, or to the energy scale sum|J|/N when the value is near 0
+        scale = np.abs(d.couplings).sum() / d.n
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-12 * max(abs(r), scale), (got, ref)
+
+
+class TestBatchedWalkers:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["chain", "sk-ordered", "sk-unordered"]),
+           n=st.integers(2, 9),
+           T=st.sampled_from([0.05, 0.4, 1.0, 3.0, 25.0, 1e3]),
+           chains=st.integers(1, 5),
+           burn_in=st.integers(1, 12),
+           extra=st.integers(1, 30),
+           thinning=st.integers(1, 4),
+           budget=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_serial_reference(self, kind, n, T, chains, burn_in, extra, thinning,
+                                      budget, seed):
+        # `budget` shrinks the uniform block to a few sweeps, so runs end mid-block
+        # and burn-in crosses block boundaries
+        d = _disorder(kind.split("-")[0], n, seed)
+        conv = kind.split("-")[1] if "-" in kind else None
+        opts = tg.MCMCOptions(sweeps=burn_in + extra, burn_in=burn_in, thinning=thinning,
+                              chains=chains)
+        with mock.patch.object(mcmc, "_UNIFORM_DOUBLES", budget):
+            got = tg.estimate_internal_energy(d, T, opts, seed + 1, conv)
+        _assert_matches_serial(d, got, serial_estimate(d, T, opts, seed + 1, conv))
+        if chains == 1:
+            assert got[1] == 0.0
+
+    @pytest.mark.parametrize("kind", ["chain", "sk"])
+    def test_block_boundaries_at_criterion_four_shape(self, kind):
+        # 4 walkers x 5 spins with a 60-double budget: blocks of 3 sweeps, 41 sweeps in
+        # all (not a multiple), burn-in 7 ending inside the third block
+        d = _disorder(kind, 5, 17)
+        opts = tg.MCMCOptions(sweeps=41, burn_in=7, thinning=2, chains=4)
+        ref = serial_estimate(d, 0.8, opts, 18)
+        with mock.patch.object(mcmc, "_UNIFORM_DOUBLES", 60):
+            _assert_matches_serial(d, tg.estimate_internal_energy(d, 0.8, opts, 18), ref)
+        _assert_matches_serial(d, tg.estimate_internal_energy(d, 0.8, opts, 18), ref)
+
+    def test_hot_chain_starts_at_random(self):
+        d = _disorder("chain", 30, 19)
+        opts = tg.MCMCOptions(sweeps=40, burn_in=5, thinning=1, chains=3)
+        got = tg.estimate_internal_energy(d, 50.0, opts, 20)
+        assert got == serial_estimate(d, 50.0, opts, 20)
+        cold = tg.estimate_internal_energy(d, 20.0, tg.MCMCOptions(2, 1, 1, 3), 20)
+        assert cold == serial_estimate(d, 20.0, tg.MCMCOptions(2, 1, 1, 3), 20)
+
+    @pytest.mark.parametrize("kind,conv", [("chain", None), ("sk", "ordered"), ("sk", "unordered")])
+    @pytest.mark.parametrize("walkers", [1, 4])
+    def test_batch_reproduces_metropolis_sweep(self, kind, conv, walkers):
+        d = _disorder(kind, 11, 23)
+        seeds = [np.random.SeedSequence(24, spawn_key=(w,)) for w in range(walkers)]
+        s = np.random.default_rng(25).integers(0, 2, size=(walkers, 11), dtype=np.int8) * 2 - 1
+        expected = [tg.metropolis_sweep(row, d, 0.7, seed, conv) for row, seed in zip(s, seeds)]
+        _walk(s, d, 0.7, [np.random.default_rng(seed) for seed in seeds], 1, conv)
+        assert np.array_equal(s, np.stack(expected))
+
+    @pytest.mark.parametrize("kind", ["chain", "sk"])
+    def test_metropolis_sweep_matches_serial_sweep(self, kind):
+        d = _disorder(kind, 13, 26)
+        s = np.random.default_rng(27).integers(0, 2, size=13, dtype=np.int8) * 2 - 1
+        for k in range(20):
+            ref = s.copy()
+            if kind == "chain":
+                _serial_chain_sweep(ref, d, 0.6, np.random.default_rng(k))
+            else:
+                h = d.couplings @ ref.astype(np.float64)
+                _serial_sk_sweep(ref, d, 0.6, np.random.default_rng(k), h, 4.0 / 13)
+            s = tg.metropolis_sweep(s, d, 0.6, k)
+            assert np.array_equal(s, ref)
+
+    @pytest.mark.parametrize("kind", ["chain", "sk"])
+    def test_near_zero_temperature_raises_no_floating_point_error(self, kind):
+        d = _disorder(kind, 16, 28)
+        s = np.random.default_rng(29).integers(0, 2, size=16, dtype=np.int8) * 2 - 1
+        with np.errstate(all="raise"):
+            for k in range(5):
+                s = tg.metropolis_sweep(s, d, 1e-6, 30 + k)
+            est, se = tg.estimate_internal_energy(d, 1e-6, tg.MCMCOptions(20, 5, 1, 3), 31)
+        assert np.isfinite(est) and np.isfinite(se)
