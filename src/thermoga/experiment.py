@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown oracle kind {self.oracle!r}")
         if self.snapshot_policy not in SNAPSHOT_POLICIES:
             raise ValueError(f"unknown snapshot policy {self.snapshot_policy!r}")
+        if self.sk_pair_convention not in spin_systems.SK_CONVENTIONS:
+            raise ValueError(f"unknown pair convention {self.sk_pair_convention!r}")
         if self.ga.genome_length != self.n:
             raise ValueError("ga.genome_length must equal n")
         if self.disorder.model is not self.model:
@@ -284,13 +286,13 @@ def _build_disorder(cfg: ExperimentConfig, replica: int):
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, _KEY_DISORDER))
     if cfg.model is ModelKind.CHAIN:
         return spin_systems.sample_chain_disorder(cfg.n, cfg.disorder, seed)
-    return spin_systems.sample_sk_disorder(cfg.n, cfg.disorder, seed)
+    return spin_systems.sample_sk_disorder(cfg.n, cfg.disorder, seed, cfg.sk_pair_convention)
 
 
 def _build_evaluator(cfg: ExperimentConfig, disorder):
     if cfg.model is ModelKind.CHAIN:
         return spin_systems.chain_evaluator(disorder)
-    return spin_systems.sk_evaluator(disorder, cfg.sk_pair_convention)
+    return spin_systems.sk_evaluator(disorder)
 
 
 def _build_oracle(cfg: ExperimentConfig, disorder, replica: int) -> learner.EnergyOracle:
@@ -299,11 +301,10 @@ def _build_oracle(cfg: ExperimentConfig, disorder, replica: int) -> learner.Ener
     if cfg.oracle == "analytic_sk":
         return learner.analytic_sk_oracle(cfg.n, cfg.disorder)
     if cfg.oracle == "enumeration":
-        return learner.enumeration_oracle(disorder, cfg.sk_pair_convention)
+        return learner.enumeration_oracle(disorder)
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, _KEY_ORACLE))
-    return learner.mcmc_oracle(disorder, mcmc.MCMCOptions(sweeps=400, burn_in=100,
-                                                          thinning=3, chains=4),
-                               seed, cfg.sk_pair_convention)
+    opts = mcmc.MCMCOptions(sweeps=400, burn_in=100, thinning=3, chains=4)
+    return learner.mcmc_oracle(disorder, opts, seed)
 
 
 def _run_replica(cfg: ExperimentConfig, replica: int):

@@ -151,21 +151,19 @@ def analytic_sk_oracle(n: int, params: DisorderParams,
     return EnergyOracle(evaluator=evaluate, kind="analytic_sk")
 
 
-def enumeration_oracle(d: ChainDisorder | SKDisorder,
-                       pair_convention: str | None = None) -> EnergyOracle:
+def enumeration_oracle(d: ChainDisorder | SKDisorder) -> EnergyOracle:
     """Exact per-instance internal energy by full enumeration (small n only)."""
 
     def evaluate(T: float) -> float:
-        return exact_gibbs_expectation(d, T, pair_convention)[0]
+        return exact_gibbs_expectation(d, T)[0]
 
     return EnergyOracle(evaluator=evaluate, kind="enumeration")
 
 
-def mcmc_oracle(d: ChainDisorder | SKDisorder, opts: MCMCOptions, seed,
-                pair_convention: str | None = None) -> EnergyOracle:
+def mcmc_oracle(d: ChainDisorder | SKDisorder, opts: MCMCOptions, seed) -> EnergyOracle:
     """Per-instance Metropolis estimate; the fixed seed keeps runs reproducible."""
 
     def evaluate(T: float) -> float:
-        return estimate_internal_energy(d, T, opts, seed, pair_convention)[0]
+        return estimate_internal_energy(d, T, opts, seed)[0]
 
     return EnergyOracle(evaluator=evaluate, kind="mcmc")

@@ -23,7 +23,6 @@ from .errors import DomainError
 from .spin_systems import (
     ChainDisorder,
     SKDisorder,
-    SK_PAIR_CONVENTION,
     chain_energies,
     chain_ground_state,
     enumerate_landscape,
@@ -57,15 +56,10 @@ def chain_flip_costs(s: np.ndarray, d: ChainDisorder) -> np.ndarray:
     return 2.0 * s * f
 
 
-def _sk_flip_scale(n: int, pair_convention: str | None) -> float:
-    """dH of flipping s_k is scale * s_k * (C s)_k: 4/N over ordered pairs, 2/N over unordered."""
-    return 4.0 / n if (pair_convention or SK_PAIR_CONVENTION) == "ordered" else 2.0 / n
-
-
-def sk_flip_costs(s: np.ndarray, d: SKDisorder, pair_convention: str | None = None) -> np.ndarray:
-    """Energy change from flipping each site alone under the SK Hamiltonian."""
+def sk_flip_costs(s: np.ndarray, d: SKDisorder) -> np.ndarray:
+    """Energy change 4 * d.energy_scale * s_k (C s)_k from flipping each site alone."""
     s = np.asarray(s, dtype=np.float64)
-    return _sk_flip_scale(d.n, pair_convention) * s * (d.couplings @ s)
+    return 4.0 * d.energy_scale * s * (d.couplings @ s)
 
 
 def _chain_sweep(s: np.ndarray, d: ChainDisorder, T: float, u: np.ndarray) -> None:
@@ -87,7 +81,7 @@ def _sk_sweep(s, h, d: SKDisorder, scale: float, T: float, u: np.ndarray) -> Non
         sk -= delta
 
 
-def _walk(s: np.ndarray, d, T: float, rngs, sweeps: int, pair_convention: str | None = None,
+def _walk(s: np.ndarray, d, T: float, rngs, sweeps: int,
           samples: range = range(0)) -> np.ndarray | None:
     """Advance walkers `s` (walkers, N) in place; mean energies over the 0-based `samples`.
 
@@ -98,7 +92,7 @@ def _walk(s: np.ndarray, d, T: float, rngs, sweeps: int, pair_convention: str | 
     if sk:
         state = np.array(s.T, dtype=np.float64, order="C")   # walker-contiguous
         h = np.stack([d.couplings @ row for row in s.astype(np.float64)], axis=1)
-        scale, rows = _sk_flip_scale(n, pair_convention), state.T
+        scale, rows = 4.0 * d.energy_scale, state.T   # dH of a flip = scale * s_k * h_k
     else:
         state = rows = s.astype(np.float64)
     block = max(1, _UNIFORM_DOUBLES // (walkers * n))
@@ -115,23 +109,22 @@ def _walk(s: np.ndarray, d, T: float, rngs, sweeps: int, pair_convention: str | 
                 else:
                     _chain_sweep(state, d, T, u[:, t])
             if start + t in samples:
-                totals += sk_energies(rows, d, pair_convention) if sk else chain_energies(rows, d)
+                totals += sk_energies(rows, d) if sk else chain_energies(rows, d)
     s[...] = rows
     return totals / len(samples) if samples else None
 
 
-def metropolis_sweep(s, d, T: float, seed, pair_convention: str | None = None) -> np.ndarray:
+def metropolis_sweep(s, d, T: float, seed) -> np.ndarray:
     """One Metropolis sweep (N single-site proposals); returns a new configuration."""
     if T <= 0:
         raise DomainError("temperature must be positive")
     out = np.array(s, dtype=np.int8)
-    _walk(out[None, :], d, T, [np.random.default_rng(seed)], 1, pair_convention)
+    _walk(out[None, :], d, T, [np.random.default_rng(seed)], 1)
     out.setflags(write=False)
     return out
 
 
-def estimate_internal_energy(d, T: float, opts: MCMCOptions, seed,
-                             pair_convention: str | None = None) -> tuple[float, float]:
+def estimate_internal_energy(d, T: float, opts: MCMCOptions, seed) -> tuple[float, float]:
     """Gibbs internal energy estimate: (mean over chains, between-chain std error).
 
     Each chain is a walker with its own generator spawned from `seed`,
@@ -150,21 +143,20 @@ def estimate_internal_energy(d, T: float, opts: MCMCOptions, seed,
         s = np.tile(chain_ground_state(d)[1], (opts.chains, 1))
     else:
         s = np.stack([rng.integers(0, 2, size=d.n, dtype=np.int8) * 2 - 1 for rng in rngs])
-    means = _walk(s, d, T, rngs, opts.sweeps, pair_convention,
-                  range(opts.burn_in, opts.sweeps, opts.thinning))
+    means = _walk(s, d, T, rngs, opts.sweeps, range(opts.burn_in, opts.sweeps, opts.thinning))
     if opts.chains == 1:
         return float(means[0]), 0.0
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(opts.chains))
 
 
-def exact_gibbs_expectation(d, T: float, pair_convention: str | None = None) -> tuple[float, float]:
+def exact_gibbs_expectation(d, T: float) -> tuple[float, float]:
     """Exact (U, Z) by full enumeration, log-sum-exp stabilized.
 
     Z can overflow to inf for very low temperatures; U stays finite.
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
-    _, energies = enumerate_landscape(d, pair_convention)
+    _, energies = enumerate_landscape(d)
     beta = 1.0 / T
     logw = -beta * energies
     log_z = float(logsumexp(logw))

@@ -10,8 +10,12 @@ the chain decouples, so its ground state is exact: align every tau_i with
 sgn(J_i), giving U_min = -sum_i |J_i|.
 
 The SK double sum runs over ordered pairs, so each unordered pair enters
-twice; ``pair_convention="unordered"`` switches to the single-counted sum
--(1/N) sum_{i<j} J_ij s_i s_j (exactly half the ordered value).  The
+twice; an `SKDisorder` built with ``pair_convention="unordered"`` uses the
+single-counted sum -(1/N) sum_{i<j} J_ij s_i s_j (exactly half the ordered
+value) instead.  The convention is chosen once, on the disorder (through
+`sample_sk_disorder` or ``sk_pair_convention`` in a config file), and
+`SKDisorder.energy_scale` is the one place that turns it into a number;
+energies, flip costs and enumeration all read it from there.  The
 acceptance suite compares both conventions against the replica-symmetric
 predictions; ``SK_PAIR_CONVENTION`` below is the pinned default.
 
@@ -37,7 +41,7 @@ from .errors import (
 
 LANDSCAPE_CAP = 20          # exhaustive enumeration capped at 2^20 states
 SK_PAIR_CONVENTION = "ordered"
-_SK_CONVENTIONS = ("ordered", "unordered")
+SK_CONVENTIONS = ("ordered", "unordered")
 _ENUM_CHUNK = 1 << 16
 
 
@@ -100,12 +104,15 @@ class ChainDisorder:
 
 @dataclass(frozen=True)
 class SKDisorder:
-    """Symmetric coupling matrix with zero diagonal."""
+    """Symmetric coupling matrix with zero diagonal, and how its pairs are counted."""
 
     couplings: np.ndarray
     params: DisorderParams
+    pair_convention: str = SK_PAIR_CONVENTION
 
     def __post_init__(self):
+        if self.pair_convention not in SK_CONVENTIONS:
+            raise ValueError(f"unknown pair convention {self.pair_convention!r}")
         c = _frozen_array(self.couplings, np.float64)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
             raise InvalidSizeError("couplings must be a square matrix of size n >= 2")
@@ -119,6 +126,11 @@ class SKDisorder:
     def n(self) -> int:
         return self.couplings.shape[0]
 
+    @property
+    def energy_scale(self) -> float:
+        """H = -energy_scale * s.C.s: 1/N over ordered pairs, 0.5/N over unordered."""
+        return 1.0 / self.n if self.pair_convention == "ordered" else 0.5 / self.n
+
 
 def sample_chain_disorder(n: int, params: DisorderParams, seed) -> ChainDisorder:
     """Draw n-1 independent Gaussian bonds; deterministic given the seed."""
@@ -131,7 +143,8 @@ def sample_chain_disorder(n: int, params: DisorderParams, seed) -> ChainDisorder
     return ChainDisorder(bonds=bonds, params=params)
 
 
-def sample_sk_disorder(n: int, params: DisorderParams, seed) -> SKDisorder:
+def sample_sk_disorder(n: int, params: DisorderParams, seed,
+                       pair_convention: str = SK_PAIR_CONVENTION) -> SKDisorder:
     """Draw the upper triangle i.i.d. Gaussian and mirror it below the diagonal."""
     if n < 2:
         raise InvalidSizeError(f"SK model needs n >= 2 spins, got {n}")
@@ -142,7 +155,7 @@ def sample_sk_disorder(n: int, params: DisorderParams, seed) -> SKDisorder:
     c = np.zeros((n, n))
     c[upper] = rng.normal(params.mean, params.std, size=upper[0].size)
     c = c + c.T
-    return SKDisorder(couplings=c, params=params)
+    return SKDisorder(couplings=c, params=params, pair_convention=pair_convention)
 
 
 def chain_energies(members: np.ndarray, d: ChainDisorder) -> np.ndarray:
@@ -158,19 +171,15 @@ def chain_energies(members: np.ndarray, d: ChainDisorder) -> np.ndarray:
     return -np.sum(pair * d.bonds, axis=1)
 
 
-def sk_energies(members: np.ndarray, d: SKDisorder, pair_convention: str | None = None) -> np.ndarray:
+def sk_energies(members: np.ndarray, d: SKDisorder) -> np.ndarray:
     """Energies of a batch of spin rows under the SK Hamiltonian."""
-    conv = pair_convention or SK_PAIR_CONVENTION
-    if conv not in _SK_CONVENTIONS:
-        raise ValueError(f"unknown pair convention {conv!r}")
     m = np.atleast_2d(members).astype(np.float64)
     if m.shape[1] != d.n:
         raise DimensionMismatchError(f"configurations have {m.shape[1]} spins, disorder has {d.n}")
     h = m @ d.couplings          # local fields, one BLAS call for the whole batch
     h *= m
     quad = h.sum(axis=1)         # = 2 sum_{i<j} J_ij s_i s_j
-    scale = 1.0 / d.n if conv == "ordered" else 0.5 / d.n
-    return -scale * quad
+    return -d.energy_scale * quad
 
 
 def energy_chain(s, d: ChainDisorder) -> float:
@@ -178,9 +187,9 @@ def energy_chain(s, d: ChainDisorder) -> float:
     return float(chain_energies(np.asarray(s)[None, :], d)[0])
 
 
-def energy_sk(s, d: SKDisorder, pair_convention: str | None = None) -> float:
-    """H(s) = -(1/N) sum_i sum_{j!=i} J_ij s_i s_j (ordered-pair default)."""
-    return float(sk_energies(np.asarray(s)[None, :], d, pair_convention)[0])
+def energy_sk(s, d: SKDisorder) -> float:
+    """H(s) = -(1/N) sum_i sum_{j!=i} J_ij s_i s_j (pairs counted as `d` says)."""
+    return float(sk_energies(np.asarray(s)[None, :], d)[0])
 
 
 def chain_evaluator(d: ChainDisorder):
@@ -188,9 +197,8 @@ def chain_evaluator(d: ChainDisorder):
     return lambda members: chain_energies(members, d)
 
 
-def sk_evaluator(d: SKDisorder, pair_convention: str | None = None):
-    conv = pair_convention or SK_PAIR_CONVENTION
-    return lambda members: sk_energies(members, d, conv)
+def sk_evaluator(d: SKDisorder):
+    return lambda members: sk_energies(members, d)
 
 
 def chain_ground_state(d: ChainDisorder) -> tuple[float, np.ndarray]:
@@ -222,7 +230,7 @@ def states_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def enumerate_landscape(d: ChainDisorder | SKDisorder, pair_convention: str | None = None):
+def enumerate_landscape(d: ChainDisorder | SKDisorder):
     """Energies of all 2^n configurations, returned as (labels, energies).
 
     Labels follow the `states_from_indices` bijection.  Hard-capped at
@@ -238,13 +246,13 @@ def enumerate_landscape(d: ChainDisorder | SKDisorder, pair_convention: str | No
         if isinstance(d, ChainDisorder):
             energies[lo : lo + _ENUM_CHUNK] = chain_energies(block, d)
         else:
-            energies[lo : lo + _ENUM_CHUNK] = sk_energies(block, d, pair_convention)
+            energies[lo : lo + _ENUM_CHUNK] = sk_energies(block, d)
     return labels, energies
 
 
-def write_landscape(d, path, pair_convention: str | None = None) -> Path:
+def write_landscape(d, path) -> Path:
     """Export the landscape as two-column text: state label, energy."""
-    labels, energies = enumerate_landscape(d, pair_convention)
+    labels, energies = enumerate_landscape(d)
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
         for s, e in zip(labels, energies):

@@ -156,7 +156,7 @@ def test_criterion_06_sk_pair_convention_resolution():
     for k in range(draws):
         d = tg.sample_sk_disorder(n, SK_01, np.random.SeedSequence(entropy=1006, spawn_key=(k,)))
         for conv in per_conv:
-            u, _ = tg.exact_gibbs_expectation(d, T, pair_convention=conv)
+            u, _ = tg.exact_gibbs_expectation(tg.SKDisorder(d.couplings, d.params, conv), T)
             per_conv[conv].append(u / n)
     rels = {conv: abs(np.mean(vals) - target) / abs(target) for conv, vals in per_conv.items()}
     passing = [conv for conv, rel in rels.items() if rel < 0.10]

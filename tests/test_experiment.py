@@ -138,6 +138,43 @@ class TestRunExperiment:
         assert summary.temperature.shape == (1, 4)
 
 
+class TestPairConvention:
+    @staticmethod
+    def enumeration_sk_config(out, conv):
+        n = 10
+        return experiment.ExperimentConfig(
+            name=f"sk-{conv}", model=tg.ModelKind.SK, n=n,
+            ga=tg.GAParams(population_size=8, genome_length=n, tournament_size=2,
+                           crossover_rate=0.2, mutation_rate=0.05),
+            disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
+            t0=2.0, learning_rate=1e-2, generations=5, replicas=2, seed=41,
+            oracle="enumeration", sk_pair_convention=conv, output_dir=str(out))
+
+    def test_unordered_campaign_threads_the_convention(self, tmp_path):
+        cfg = self.enumeration_sk_config(tmp_path / "unordered", "unordered")
+        assert experiment.parse_config(experiment.serialize_config(cfg)) == cfg
+        half = experiment.run_experiment(cfg)
+        full = experiment.run_experiment(self.enumeration_sk_config(tmp_path / "ordered",
+                                                                    "ordered"))
+        # same seed, same initial population: every energy is scaled by exactly 1/2
+        assert np.array_equal(half.u_ga[:, 0], 0.5 * full.u_ga[:, 0])
+        for r in range(cfg.replicas):
+            d = experiment._build_disorder(cfg, r)
+            assert d.pair_convention == "unordered"
+            for t, T in enumerate(half.temperature[r]):
+                assert half.u_gibbs[r, t] == tg.exact_gibbs_expectation(d, T)[0]
+
+    def test_misspelt_convention_is_a_config_error(self, tmp_path, capsys):
+        cfg = self.enumeration_sk_config(tmp_path / "bad", "unordered")
+        text = experiment.serialize_config(cfg)
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace("sk_pair_convention = unordered",
+                                     "sk_pair_convention = unorderd"))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG == 2
+        assert "unorderd" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+
 class TestOracleCalls:
     @settings(max_examples=8, deadline=None)
     @given(generations=st.integers(1, 12), replicas=st.integers(1, 3))

@@ -190,7 +190,7 @@ class TestChangedRowEnergies:
     @given(convention=st.sampled_from(["ordered", "unordered"]), **GA_CASES)
     def test_sk_equals_full_recompute(self, convention, n, pairs, p_c, p_m, seed):
         d = _random_disorder(tg.ModelKind.SK, n, seed)
-        model = tg.sk_evaluator(d, convention)
+        model = tg.sk_evaluator(tg.SKDisorder(d.couplings, d.params, convention))
         pop = tg.init_population(make_params(population_size=2 * pairs, genome_length=n),
                                  model, seed + 1)
         mutated = tg.mutate(tg.crossover(pop, p_c, seed + 2, model), p_m, seed + 3, model)

@@ -32,12 +32,13 @@ class TestFlipCosts:
         d = tg.sample_sk_disorder(12, SK_01, 11)
         s = rng.integers(0, 2, 12) * 2 - 1
         for conv in ("ordered", "unordered"):
-            costs = tg.sk_flip_costs(s, d, conv)
-            e0 = tg.energy_sk(s, d, conv)
+            dc = tg.SKDisorder(d.couplings, d.params, conv)
+            costs = tg.sk_flip_costs(s, dc)
+            e0 = tg.energy_sk(s, dc)
             for k in range(12):
                 flipped = s.copy()
                 flipped[k] = -flipped[k]
-                assert costs[k] == pytest.approx(tg.energy_sk(flipped, d, conv) - e0, abs=1e-12)
+                assert costs[k] == pytest.approx(tg.energy_sk(flipped, dc) - e0, abs=1e-12)
 
 
 class TestMetropolisSweep:
@@ -181,12 +182,12 @@ def _serial_sk_sweep(s, d, T, rng, h, two_c):
             h -= (2.0 * old) * d.couplings[:, k]
 
 
-def _serial_chain_mean(d, T, opts, rng, pair_convention):
+def _serial_chain_mean(d, T, opts, rng):
     n = d.n
     sk_state = None
     if isinstance(d, tg.SKDisorder):
         s = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
-        conv = pair_convention or tg.SK_PAIR_CONVENTION
+        conv = d.pair_convention
         sk_state = (d.couplings @ s.astype(np.float64), 4.0 / n if conv == "ordered" else 2.0 / n)
     elif T <= 20.0:
         s = tg.chain_ground_state(d)[1].copy()
@@ -202,25 +203,25 @@ def _serial_chain_mean(d, T, opts, rng, pair_convention):
             if sk_state is None:
                 total += float(tg.chain_energies(s[None, :], d)[0])
             else:
-                total += float(tg.sk_energies(s[None, :], d, pair_convention)[0])
+                total += float(tg.sk_energies(s[None, :], d)[0])
             count += 1
     return total / count
 
 
-def serial_estimate(d, T, opts, seed, pair_convention=None):
+def serial_estimate(d, T, opts, seed):
     """The per-chain loop `estimate_internal_energy` ran before walkers were batched."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    means = np.asarray([_serial_chain_mean(d, T, opts, np.random.default_rng(child), pair_convention)
+    means = np.asarray([_serial_chain_mean(d, T, opts, np.random.default_rng(child))
                         for child in ss.spawn(opts.chains)])
     if opts.chains == 1:
         return float(means[0]), 0.0
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(opts.chains))
 
 
-def _disorder(kind, n, seed):
+def _disorder(kind, n, seed, conv=tg.SK_PAIR_CONVENTION):
     if kind == "chain":
         return tg.sample_chain_disorder(n, CHAIN_01, seed)
-    return tg.sample_sk_disorder(n, SK_01, seed)
+    return tg.sample_sk_disorder(n, SK_01, seed, conv)
 
 
 def _assert_matches_serial(d, got, ref):
@@ -248,13 +249,13 @@ class TestBatchedWalkers:
                                       budget, seed):
         # `budget` shrinks the uniform block to a few sweeps, so runs end mid-block
         # and burn-in crosses block boundaries
-        d = _disorder(kind.split("-")[0], n, seed)
         conv = kind.split("-")[1] if "-" in kind else None
+        d = _disorder(kind.split("-")[0], n, seed, conv)
         opts = tg.MCMCOptions(sweeps=burn_in + extra, burn_in=burn_in, thinning=thinning,
                               chains=chains)
         with mock.patch.object(mcmc, "_UNIFORM_DOUBLES", budget):
-            got = tg.estimate_internal_energy(d, T, opts, seed + 1, conv)
-        _assert_matches_serial(d, got, serial_estimate(d, T, opts, seed + 1, conv))
+            got = tg.estimate_internal_energy(d, T, opts, seed + 1)
+        _assert_matches_serial(d, got, serial_estimate(d, T, opts, seed + 1))
         if chains == 1:
             assert got[1] == 0.0
 
@@ -280,11 +281,11 @@ class TestBatchedWalkers:
     @pytest.mark.parametrize("kind,conv", [("chain", None), ("sk", "ordered"), ("sk", "unordered")])
     @pytest.mark.parametrize("walkers", [1, 4])
     def test_batch_reproduces_metropolis_sweep(self, kind, conv, walkers):
-        d = _disorder(kind, 11, 23)
+        d = _disorder(kind, 11, 23, conv)
         seeds = [np.random.SeedSequence(24, spawn_key=(w,)) for w in range(walkers)]
         s = np.random.default_rng(25).integers(0, 2, size=(walkers, 11), dtype=np.int8) * 2 - 1
-        expected = [tg.metropolis_sweep(row, d, 0.7, seed, conv) for row, seed in zip(s, seeds)]
-        _walk(s, d, 0.7, [np.random.default_rng(seed) for seed in seeds], 1, conv)
+        expected = [tg.metropolis_sweep(row, d, 0.7, seed) for row, seed in zip(s, seeds)]
+        _walk(s, d, 0.7, [np.random.default_rng(seed) for seed in seeds], 1)
         assert np.array_equal(s, np.stack(expected))
 
     @pytest.mark.parametrize("kind", ["chain", "sk"])

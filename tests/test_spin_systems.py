@@ -127,8 +127,9 @@ class TestChainEnergy:
 
 class TestSKEnergy:
     def test_two_spin_hand_value(self):
-        d = tg.SKDisorder(couplings=[[0.0, 1.0], [1.0, 0.0]], params=sk_params())
-        assert tg.energy_sk([1, 1], d, "ordered") == -1.0
+        d = tg.SKDisorder(couplings=[[0.0, 1.0], [1.0, 0.0]], params=sk_params(),
+                          pair_convention="ordered")
+        assert tg.energy_sk([1, 1], d) == -1.0
 
     def test_zero_couplings_zero_energy(self):
         d = tg.SKDisorder(couplings=np.zeros((4, 4)), params=sk_params(1.0, 1.0))
@@ -136,7 +137,7 @@ class TestSKEnergy:
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(2)
-        d = tg.sample_sk_disorder(10, sk_params(), 17)
+        d = tg.sample_sk_disorder(10, sk_params(), 17, "ordered")
         for _ in range(10):
             s = rng.integers(0, 2, 10) * 2 - 1
             brute = 0.0
@@ -144,20 +145,38 @@ class TestSKEnergy:
                 for j in range(10):
                     if i != j:
                         brute += d.couplings[i, j] * s[i] * s[j]
-            assert tg.energy_sk(s, d, "ordered") == pytest.approx(-brute / 10, rel=1e-12)
+            assert tg.energy_sk(s, d) == pytest.approx(-brute / 10, rel=1e-12)
 
     def test_unordered_is_half_ordered(self):
         rng = np.random.default_rng(3)
-        d = tg.sample_sk_disorder(8, sk_params(), 19)
+        d = tg.sample_sk_disorder(8, sk_params(), 19, "ordered")
+        half = tg.SKDisorder(d.couplings, d.params, "unordered")
         s = rng.integers(0, 2, 8) * 2 - 1
-        assert tg.energy_sk(s, d, "unordered") == pytest.approx(
-            0.5 * tg.energy_sk(s, d, "ordered"), rel=1e-12)
+        assert tg.energy_sk(s, half) == pytest.approx(
+            0.5 * tg.energy_sk(s, d), rel=1e-12)
 
     def test_global_flip_symmetry(self):
         rng = np.random.default_rng(4)
         d = tg.sample_sk_disorder(12, sk_params(), 23)
         s = rng.integers(0, 2, 12) * 2 - 1
         assert tg.energy_sk(s, d) == tg.energy_sk(-s, d)
+
+    def test_unknown_convention_rejected(self):
+        # sweeps and energies read the scale off the disorder, so a name rejected
+        # here can reach none of them
+        d = tg.sample_sk_disorder(6, sk_params(), 5)
+        with pytest.raises(ValueError, match="unorderd"):
+            tg.SKDisorder(d.couplings, d.params, pair_convention="unorderd")
+        with pytest.raises(ValueError, match="bogus"):
+            tg.sample_sk_disorder(6, sk_params(), 5, "bogus")
+
+    def test_energy_scale_times_four_is_the_flip_scale(self):
+        # multiplying by a power of two is exact, so 4 * scale is bit-equal to
+        # the 4/N (ordered) and 2/N (unordered) flip factors
+        for n in range(2, 300):
+            c = np.zeros((n, n))
+            for conv, flip in (("ordered", 4.0 / n), ("unordered", 2.0 / n)):
+                assert 4.0 * tg.SKDisorder(c, sk_params(1.0, 1.0), conv).energy_scale == flip
 
     def test_asymmetric_matrix_rejected(self):
         c = np.zeros((3, 3))
@@ -170,15 +189,15 @@ class TestSKEnergy:
            convention=st.sampled_from(["ordered", "unordered"]),
            mean=st.sampled_from([0.0, 0.7, -1.5]), seed=st.integers(0, 2**32 - 1))
     def test_batch_matches_double_sum(self, n, rows, convention, mean, seed):
-        d = tg.sample_sk_disorder(n, sk_params(mean, 1.0), seed)
+        d = tg.sample_sk_disorder(n, sk_params(mean, 1.0), seed, convention)
         members = np.random.default_rng(seed).integers(0, 2, (rows, n), dtype=np.int8) * 2 - 1
-        batch = tg.sk_energies(members, d, convention)
+        batch = tg.sk_energies(members, d)
         scale = (1.0 if convention == "ordered" else 0.5) / n
         tol = 1e-12 * scale * np.abs(d.couplings).sum()   # relative to the largest |E|
         for k, s in enumerate(members):
             brute = -scale * math.fsum(d.couplings[i, j] * s[i] * s[j]
                                        for i in range(n) for j in range(n) if i != j)
-            single = tg.sk_energies(s[None, :], d, convention)[0]
+            single = tg.sk_energies(s[None, :], d)[0]
             assert abs(batch[k] - brute) <= tol
             assert abs(single - brute) <= tol
             assert abs(batch[k] - single) <= tol
