@@ -49,6 +49,7 @@ from .experiment import (
     serialize_config,
 )
 from .ga import (
+    BlockSeeds,
     GAParams,
     Population,
     boltzmann_select,
@@ -91,6 +92,7 @@ from .spin_systems import (
     energy_chain,
     energy_sk,
     enumerate_landscape,
+    replica_evaluator,
     sample_chain_disorder,
     sample_sk_disorder,
     sk_energies,

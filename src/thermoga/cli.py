@@ -4,7 +4,8 @@ Verbs:
     run <config-file> [--out DIR]      run one experiment config
     preset <name> [--out DIR] [--desk] run a named preset (desk = reduced N)
     list-presets                       print available preset names
-    oracle-check                       run the small-size cross-oracle suite
+    oracle-check [--out DIR]           run the small-size cross-oracle suite
+                                       (the `oracle-small-n` preset)
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numeric failure.
 `THERMOGA_OUTPUT_DIR` overrides the output directory for all verbs.
@@ -53,19 +54,16 @@ def main(argv=None) -> int:
                 print(name)
             return EXIT_OK
 
-        if args.verb == "oracle-check":
-            ok, lines = experiment.oracle_check(output_dir=args.out)
-            print("\n".join(lines))
-            return EXIT_OK if ok else EXIT_NUMERIC
-
         if args.verb == "preset":
             written = experiment.run_preset(args.name, desk=args.desk, output_dir=args.out)
             for path in written:
                 print(path)
             return EXIT_OK
 
-        # run
-        cfg = experiment.load_config(args.config)
+        if args.verb == "oracle-check":
+            [(_, cfg)] = experiment.preset_configs("oracle-small-n")
+        else:
+            cfg = experiment.load_config(args.config)
         if isinstance(cfg, experiment.ExperimentConfig):
             summary = experiment.run_experiment(cfg, output_dir=args.out)
             experiment.emit_plot_data(summary)

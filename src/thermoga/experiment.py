@@ -4,8 +4,12 @@ A campaign runs R independent replicas.  Each replica draws its own
 disorder, initializes its own population and learner, and evolves for the
 configured number of generations; every random stream is derived from the
 base seed and the replica index, so a campaign is a pure function of its
-config and every output byte is reproducible.  Replicas that fail are
-recorded and skipped; the disorder average is taken over the survivors.
+config and every output byte is reproducible.  The replicas advance in
+lockstep: their populations are the row blocks of one array, and one call
+of the generation kernel advances them all, while each keeps its own
+streams, learner and oracle.  A replica's output therefore does not depend
+on R.  Replicas that fail, at set-up or mid-run, are recorded and dropped;
+the disorder average is taken over the survivors.
 
 Config files are flat two-level INI text (sections [run], [ga],
 [disorder]); presets cover the standard figure-style experiments for both
@@ -24,7 +28,7 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +311,8 @@ def _build_oracle(cfg: ExperimentConfig, disorder, replica: int) -> learner.Ener
     return learner.mcmc_oracle(disorder, opts, seed)
 
 
-def _run_replica(cfg: ExperimentConfig, replica: int):
+def _start_replica(cfg: ExperimentConfig, replica: int):
+    """Disorder, oracle, learner, generation-0 population and U(T0) of one replica."""
     disorder = _build_disorder(cfg, replica)
     model = _build_evaluator(cfg, disorder)
     oracle = _build_oracle(cfg, disorder, replica)
@@ -315,38 +320,83 @@ def _run_replica(cfg: ExperimentConfig, replica: int):
                              np.random.SeedSequence(entropy=cfg.seed,
                                                     spawn_key=(replica, _KEY_INIT)))
     state = learner.LearnerState(temperature=cfg.t0, learning_rate=cfg.learning_rate)
-
-    rows = cfg.generations + 1
-    temp = np.empty(rows)
-    u_ga = np.empty(rows)
-    u_gibbs = np.empty(rows)
-    best = np.empty(rows)
-    temp[0] = state.temperature
-    u_ga[0] = ga.empirical_energy(pop)
-    u_gibbs[0] = oracle.energy(state.temperature)
-    best[0] = float(pop.energies.min())
-
-    for t in range(1, cfg.generations + 1):
-        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, _KEY_GEN_BASE + t))
-        s_sel, s_cross, s_mut = ss.spawn(3)
-        if cfg.ga.selection_mode == "tournament":
-            selected = ga.tournament_select(pop, cfg.ga, s_sel)
-        else:
-            selected = ga.boltzmann_select(pop, cfg.ga.boltzmann_beta, s_sel)
-        crossed = ga.crossover(selected, cfg.ga.crossover_rate, s_cross, model)
-        pop = replace(ga.mutate(crossed, cfg.ga.mutation_rate, s_mut, model), generation=t)
-
-        measured = selected if cfg.snapshot_policy == "post_selection" else pop
-        u_meas = ga.empirical_energy(measured)
-        state = learner.learner_step(state, u_meas, float(u_gibbs[t - 1]))
-
-        temp[t] = state.temperature
-        u_ga[t] = u_meas
-        u_gibbs[t] = oracle.energy(state.temperature)
-        best[t] = float(pop.energies.min())
-
+    u_gibbs = oracle.energy(state.temperature)
     ground = spin_systems.chain_ground_state(disorder)[0] if cfg.model is ModelKind.CHAIN else None
-    return temp, u_ga, u_gibbs, best, ground
+    return disorder, oracle, state, pop, u_gibbs, ground
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_replicas(cfg: ExperimentConfig):
+    """Advance every replica in lockstep, one batched generation at a time.
+
+    Replica r's members are row block r of one population; each generation
+    draws from the replica's own `SeedSequence(seed, (r, 3 + t))`, so its
+    trajectory does not depend on the other replicas.  The learner step and
+    the oracle stay per replica.  A replica that raises, at set-up or at any
+    later generation, is recorded and dropped from the batch, and the rest
+    run on.
+    """
+    started, failures = [], []
+    for r in range(cfg.replicas):
+        try:
+            started.append((r, *_start_replica(cfg, r)))
+        except Exception as exc:   # noqa: BLE001 - replica isolation is the contract
+            failures.append((r, _failure(exc)))
+    if not started:
+        raise RuntimeError(f"all {cfg.replicas} replicas failed: {failures}")
+    ids, disorders, oracles, states, pops, u_gibbs_0, grounds = map(list, zip(*started))
+
+    m, rows = cfg.ga.population_size, cfg.generations + 1
+    temp, u_ga, u_gibbs, best = (np.empty((len(ids), rows)) for _ in range(4))
+    temp[:, 0] = [state.temperature for state in states]
+    u_ga[:, 0] = [ga.empirical_energy(p) for p in pops]
+    u_gibbs[:, 0] = u_gibbs_0
+    best[:, 0] = [float(p.energies.min()) for p in pops]
+
+    live = list(range(len(ids)))
+    pop = ga.Population(members=np.concatenate([p.members for p in pops]),
+                        energies=np.concatenate([p.energies for p in pops]), generation=0)
+    model = spin_systems.replica_evaluator(disorders)
+    for t in range(1, rows):
+        seeds = ga.BlockSeeds(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ids[k], _KEY_GEN_BASE + t))
+            for k in live)
+        try:
+            selected, pop = ga.step_generation(pop, cfg.ga, model, seeds, return_selected=True)
+        except Exception as exc:   # noqa: BLE001 - the batch fails as one
+            failures += [(ids[k], _failure(exc)) for k in live]
+            live = []
+            break
+        measured = selected if cfg.snapshot_policy == "post_selection" else pop
+        u_meas = measured.energies.reshape(-1, m).mean(axis=1)
+        u_ga[live, t] = u_meas
+        best[live, t] = pop.energies.reshape(-1, m).min(axis=1)
+        kept = []
+        for j, k in enumerate(live):
+            try:
+                states[k] = learner.learner_step(states[k], float(u_meas[j]),
+                                                 float(u_gibbs[k, t - 1]))
+                temp[k, t] = states[k].temperature
+                u_gibbs[k, t] = oracles[k].energy(states[k].temperature)
+                kept.append(j)
+            except Exception as exc:   # noqa: BLE001 - replica isolation is the contract
+                failures.append((ids[k], _failure(exc)))
+        if len(kept) < len(live):
+            live = [live[j] for j in kept]
+            if not live:
+                break
+            block = (np.asarray(kept)[:, None] * m + np.arange(m)).ravel()
+            pop = ga.Population(members=pop.members[block], energies=pop.energies[block],
+                                generation=pop.generation)
+            model = spin_systems.replica_evaluator([disorders[k] for k in live])
+
+    failures.sort()
+    if not live:
+        raise RuntimeError(f"all {cfg.replicas} replicas failed: {failures}")
+    return temp[live], u_ga[live], u_gibbs[live], best[live], [grounds[k] for k in live], failures
 
 
 def _default_fit_window(times: np.ndarray) -> tuple[float, float]:
@@ -361,25 +411,12 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> RunSummary:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(serialize_config(cfg))
 
-    results, failures = [], []
-    for r in range(cfg.replicas):
-        try:
-            results.append(_run_replica(cfg, r))
-        except Exception as exc:   # noqa: BLE001 - replica isolation is the contract
-            failures.append((r, f"{type(exc).__name__}: {exc}"))
-    if not results:
-        raise RuntimeError(f"all {cfg.replicas} replicas failed: {failures}")
+    temp, u_ga, u_gibbs, best, grounds, failures = _run_replicas(cfg)
 
     times = np.arange(cfg.generations + 1, dtype=np.float64)
-    temp = np.stack([res[0] for res in results])
-    u_ga = np.stack([res[1] for res in results])
-    u_gibbs = np.stack([res[2] for res in results])
-    best = np.stack([res[3] for res in results])
-
     t_mean, t_err = learner.disorder_averaged_trajectory(temp)
 
     if cfg.model is ModelKind.CHAIN:
-        grounds = [res[4] for res in results]
         per_replica = []
         for k, g in enumerate(grounds):
             series = analysis.TimeSeries(times[1:], best[k, 1:])

@@ -6,7 +6,17 @@ minimum-energy member of each draw.  Tournament draws are without
 replacement: the size-1 tournament is uniform resampling and the size-M
 tournament deterministically copies the population's best member.
 
-Every operator is a pure function of (population, parameters, seed) and
+A population may hold R independent replicas at once: replica r owns row
+block r of one (R*M, N) spin array and block r of its energies, and each
+operator acts on all R blocks with one set of array operations.  Random
+draws stay per replica.  An operator takes one seed per block (`BlockSeeds`)
+and makes, for each block in turn, exactly the draws it makes for a lone
+population, so a replica's offspring do not depend on the other replicas
+in the batch.  The energies of a batch come from a block-aware
+evaluator `model(members, blocks)`, told the block of every row it scores.
+A bare seed with a plain evaluator `model(members)` is a batch of one.
+
+Every operator is a pure function of (population, parameters, seeds) and
 returns a new immutable Population with freshly cached energies, so
 populations can be shared freely between workers.  Crossover and mutation
 recompute energies only for the rows they changed.  Seeds are anything
@@ -24,6 +34,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 EnergyEvaluator = Callable[[np.ndarray], np.ndarray]
+BlockEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 SELECTION_MODES = ("tournament", "boltzmann")
 
@@ -87,17 +98,57 @@ def init_population(params: GAParams, model: EnergyEvaluator, seed) -> Populatio
     return Population(members=members, energies=model(members), generation=0)
 
 
+class BlockSeeds(tuple):
+    """One seed per replica block of a population: block r draws from seed r."""
+
+
+def _batch(seed, model=None) -> tuple[BlockSeeds, BlockEvaluator | None]:
+    """Per-block seeds and a block-aware evaluator; a bare seed is a batch of one."""
+    if isinstance(seed, BlockSeeds):
+        return seed, model
+    return BlockSeeds([seed]), None if model is None else (lambda members, blocks: model(members))
+
+
+def _block_size(pop: Population, seeds: BlockSeeds) -> int:
+    if not seeds or pop.size % len(seeds):
+        raise DimensionMismatchError(f"{pop.size} rows do not split into {len(seeds)} blocks")
+    return pop.size // len(seeds)
+
+
+def smallest_keys(keys: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest keys of each row, in ascending key order.
+
+    k masked argmins; `keys` is overwritten.  The candidate set is that of
+    `np.argpartition(keys, k - 1)[:, :k]`, and for k <= 2 so is the order.
+    """
+    rows = np.arange(keys.shape[0])
+    picks = np.empty((keys.shape[0], k), dtype=np.intp)
+    for j in range(k):
+        picks[:, j] = pick = keys.argmin(axis=1)
+        keys[rows, pick] = np.inf
+    return picks
+
+
 def tournament_select(pop: Population, params: GAParams, seed) -> Population:
-    """Each output slot holds the best of `tournament_size` distinct members."""
-    rng = np.random.default_rng(seed)
-    m, k = pop.size, params.tournament_size
+    """Each output slot holds the best of `tournament_size` distinct members of its block.
+
+    A slot's candidates are the k smallest of M uniform keys, found by k
+    masked argmins in ascending key order; an energy tie goes to the
+    candidate with the smaller key.
+    """
+    seeds, _ = _batch(seed)
+    m, k = _block_size(pop, seeds), params.tournament_size
+    slots = np.arange(pop.size)
+    offsets = slots - slots % m
     if k == 1:
-        winners = rng.integers(0, m, size=m)
+        winners = np.concatenate([np.random.default_rng(s).integers(0, m, size=m)
+                                  for s in seeds]) + offsets
     else:
-        # k distinct indices per slot via random-key partial sort
-        keys = rng.random((m, m))
-        draws = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        winners = draws[np.arange(m), np.argmin(pop.energies[draws], axis=1)]
+        keys = np.empty((pop.size, m))
+        for r, s in enumerate(seeds):
+            np.random.default_rng(s).random(out=keys[r * m:(r + 1) * m])
+        candidates = smallest_keys(keys, k) + offsets[:, None]
+        winners = candidates[slots, np.argmin(pop.energies[candidates], axis=1)]
     return Population(members=pop.members[winners], energies=pop.energies[winners],
                       generation=pop.generation)
 
@@ -111,12 +162,16 @@ def boltzmann_weights(energies: np.ndarray, beta_s: float) -> np.ndarray:
 
 
 def boltzmann_select(pop: Population, beta_s: float, seed) -> Population:
-    """M independent draws with probabilities exp(-beta_s E_a) / sum."""
+    """M independent draws per block with probabilities exp(-beta_s E_a) / sum."""
     if beta_s < 0:
         raise ValueError("beta_s must be nonnegative")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(pop.size, size=pop.size, replace=True,
-                     p=boltzmann_weights(pop.energies, beta_s))
+    seeds, _ = _batch(seed)
+    m = _block_size(pop, seeds)
+    idx = np.concatenate([
+        np.random.default_rng(s).choice(m, size=m, replace=True,
+                                        p=boltzmann_weights(pop.energies[r * m:(r + 1) * m], beta_s))
+        + r * m
+        for r, s in enumerate(seeds)])
     return Population(members=pop.members[idx], energies=pop.energies[idx],
                       generation=pop.generation)
 
@@ -128,43 +183,60 @@ def cross_pair(a: np.ndarray, b: np.ndarray, cut: int) -> tuple[np.ndarray, np.n
     return ca, cb
 
 
-def crossover(pop: Population, p_c: float, seed, model: EnergyEvaluator) -> Population:
-    """Pair members by a random perfect matching; each pair crosses with prob p_c.
+def crossover(pop: Population, p_c: float, seed,
+              model: EnergyEvaluator | BlockEvaluator) -> Population:
+    """Pair the members of each block by a random perfect matching; each pair
+    crosses with prob p_c.
 
     Members of pairs that do not cross keep their original rows, so p_c = 0
     returns an identical population.
     """
-    rng = np.random.default_rng(seed)
-    m, n = pop.members.shape
-    order = rng.permutation(m)
-    do_cross = rng.random(m // 2) < p_c
-    cuts = rng.integers(1, n, size=m // 2) if n > 1 else np.ones(m // 2, dtype=np.int64)
+    seeds, model = _batch(seed, model)
+    m, n = _block_size(pop, seeds), pop.members.shape[1]
+    nblocks = len(seeds)
+    order = np.empty((nblocks, m), dtype=np.intp)
+    uniforms = np.empty((nblocks, m // 2))
+    cuts = np.ones((nblocks, m // 2), dtype=np.intp)
+    for r, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        order[r] = rng.permutation(m)
+        rng.random(out=uniforms[r])
+        if n > 1:
+            cuts[r] = rng.integers(1, n, size=m // 2)
+    order += np.arange(0, nblocks * m, m)[:, None]
+    # a single-site genome has no interior cut point
+    block, pair = np.nonzero(uniforms < p_c) if n > 1 else (np.empty(0, np.intp),) * 2
+    i, j = order[block, 2 * pair], order[block, 2 * pair + 1]
+    a, b = pop.members[i], pop.members[j]
+    tails = np.arange(n) >= cuts[block, pair][:, None]
     members = pop.members.copy()
-    touched = []
-    for pair_idx in np.nonzero(do_cross)[0]:
-        if n == 1:
-            continue   # a single-site genome has no interior cut point
-        i, j = order[2 * pair_idx], order[2 * pair_idx + 1]
-        members[i], members[j] = cross_pair(pop.members[i], pop.members[j], int(cuts[pair_idx]))
-        touched += [i, j]
-    touched = np.array(touched, dtype=np.intp)
+    members[i] = np.where(tails, b, a)
+    members[j] = np.where(tails, a, b)
+    touched = np.stack([i, j], axis=1).ravel()
     # parents that agree past the cut produce children identical to themselves
     changed = touched[np.any(members[touched] != pop.members[touched], axis=1)]
-    return _recached(pop, members, changed, model)
+    return _recached(pop, members, changed, model, m)
 
 
-def mutate(pop: Population, p_m: float, seed, model: EnergyEvaluator) -> Population:
+def mutate(pop: Population, p_m: float, seed,
+           model: EnergyEvaluator | BlockEvaluator) -> Population:
     """Flip every site independently with probability p_m; re-cache energies."""
     if p_m == 0.0:
         return pop
-    rng = np.random.default_rng(seed)
-    flips = rng.random(pop.members.shape) < p_m
-    members = np.where(flips, -pop.members, pop.members).astype(np.int8)
-    return _recached(pop, members, np.flatnonzero(flips.any(axis=1)), model)
+    seeds, model = _batch(seed, model)
+    m = _block_size(pop, seeds)
+    uniforms = np.empty(pop.members.shape)
+    for r, s in enumerate(seeds):
+        np.random.default_rng(s).random(out=uniforms[r * m:(r + 1) * m])
+    flips = uniforms < p_m
+    rows = np.flatnonzero(flips.any(axis=1))
+    members = pop.members.copy()
+    members[rows] = np.where(flips[rows], -members[rows], members[rows])
+    return _recached(pop, members, rows, model, m)
 
 
 def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,
-              model: EnergyEvaluator) -> Population:
+              model: BlockEvaluator, m: int) -> Population:
     """New population whose cached energies are recomputed for `rows` only.
 
     Every other row is unchanged from `pop`, so its cached energy still holds.
@@ -172,21 +244,30 @@ def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,
     energies = pop.energies
     if rows.size:
         energies = energies.copy()
-        energies[rows] = model(members[rows])
+        energies[rows] = model(members[rows], rows // m)
     return Population(members=members, energies=energies, generation=pop.generation)
 
 
-def step_generation(pop: Population, params: GAParams, model: EnergyEvaluator, seed) -> Population:
-    """One full generation; the counter advances by exactly one."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    s_sel, s_cross, s_mut = ss.spawn(3)
+def step_generation(pop: Population, params: GAParams,
+                    model: EnergyEvaluator | BlockEvaluator, seed, *,
+                    return_selected: bool = False):
+    """One full generation of every block; the counter advances by exactly one.
+
+    With `return_selected`, returns (selected, offspring): the population
+    after selection as well as the next generation.
+    """
+    seeds, model = _batch(seed, model)
+    children = [(s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s))
+                .spawn(3) for s in seeds]
+    s_sel, s_cross, s_mut = (BlockSeeds(c) for c in zip(*children))
     if params.selection_mode == "tournament":
-        pop = tournament_select(pop, params, s_sel)
+        selected = tournament_select(pop, params, s_sel)
     else:
-        pop = boltzmann_select(pop, params.boltzmann_beta, s_sel)
-    pop = crossover(pop, params.crossover_rate, s_cross, model)
-    pop = mutate(pop, params.mutation_rate, s_mut, model)
-    return replace(pop, generation=pop.generation + 1)
+        selected = boltzmann_select(pop, params.boltzmann_beta, s_sel)
+    crossed = crossover(selected, params.crossover_rate, s_cross, model)
+    offspring = replace(mutate(crossed, params.mutation_rate, s_mut, model),
+                        generation=pop.generation + 1)
+    return (selected, offspring) if return_selected else offspring
 
 
 def empirical_energy(pop: Population) -> float:

@@ -158,17 +158,21 @@ def sample_sk_disorder(n: int, params: DisorderParams, seed,
     return SKDisorder(couplings=c, params=params, pair_convention=pair_convention)
 
 
-def chain_energies(members: np.ndarray, d: ChainDisorder) -> np.ndarray:
+def chain_energies(members: np.ndarray, d: ChainDisorder | np.ndarray) -> np.ndarray:
     """Energies of a batch of spin rows under the chain Hamiltonian.
 
-    Summation is np.sum over ascending bond index; the ground-state oracle
-    uses the same order so the two agree bit for bit.
+    `d` is one chain, or an array of bonds with one row per spin row, so
+    rows of different chains are scored in one call.  Summation is np.sum
+    over ascending bond index; the ground-state oracle uses the same order
+    so the two agree bit for bit.
     """
+    bonds = d.bonds if isinstance(d, ChainDisorder) else d
     m = np.atleast_2d(members)
-    if m.shape[1] != d.n:
-        raise DimensionMismatchError(f"configurations have {m.shape[1]} spins, disorder has {d.n}")
+    n = bonds.shape[-1] + 1
+    if m.shape[1] != n:
+        raise DimensionMismatchError(f"configurations have {m.shape[1]} spins, disorder has {n}")
     pair = (m[:, :-1] * m[:, 1:]).astype(np.float64)
-    return -np.sum(pair * d.bonds, axis=1)
+    return -np.sum(pair * bonds, axis=1)
 
 
 def sk_energies(members: np.ndarray, d: SKDisorder) -> np.ndarray:
@@ -199,6 +203,27 @@ def chain_evaluator(d: ChainDisorder):
 
 def sk_evaluator(d: SKDisorder):
     return lambda members: sk_energies(members, d)
+
+
+def replica_evaluator(disorders):
+    """Block-aware evaluator for R instances: `f(members, blocks)` scores
+    row i on `disorders[blocks[i]]`.
+
+    Chain rows of every instance go through one call with per-row bonds.
+    SK rows go through one BLAS call per instance, in their given order.
+    """
+    if all(isinstance(d, ChainDisorder) for d in disorders):
+        bonds = np.stack([d.bonds for d in disorders])
+        return lambda members, blocks: chain_energies(members, bonds[blocks])
+
+    def evaluate(members, blocks):
+        energies = np.empty(len(blocks))
+        for b in np.unique(blocks):
+            rows = blocks == b
+            energies[rows] = sk_energies(members[rows], disorders[b])
+        return energies
+
+    return evaluate
 
 
 def chain_ground_state(d: ChainDisorder) -> tuple[float, np.ndarray]:

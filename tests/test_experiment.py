@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermoga as tg
-from thermoga import analytic, cli, experiment
+from thermoga import analytic, cli, experiment, ga
 from thermoga.errors import ConvergenceError
 
 
@@ -175,6 +175,148 @@ class TestPairConvention:
         assert not (tmp_path / "bad").exists()
 
 
+# ---------------------------------------------------------------------------
+# reference: the per-replica campaign loop the lockstep kernel replaced
+
+def reference_tournament_select(pop, params, seed):
+    rng = np.random.default_rng(seed)
+    m, k = pop.size, params.tournament_size
+    if k == 1:
+        winners = rng.integers(0, m, size=m)
+    else:
+        keys = rng.random((m, m))
+        draws = np.argpartition(keys, k - 1, axis=1)[:, :k]
+        # Candidates in ascending key order, so an energy tie goes to the
+        # smaller key.  numpy orders argpartition's first k - 1 slots only for
+        # k <= 2 (slot 0 holds the minimum), so this is a no-op there.
+        draws = np.take_along_axis(draws, np.argsort(np.take_along_axis(keys, draws, 1)), 1)
+        winners = draws[np.arange(m), np.argmin(pop.energies[draws], axis=1)]
+    return tg.Population(members=pop.members[winners], energies=pop.energies[winners],
+                         generation=pop.generation)
+
+
+def reference_boltzmann_select(pop, beta_s, seed):
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(pop.size, size=pop.size, replace=True,
+                     p=tg.boltzmann_weights(pop.energies, beta_s))
+    return tg.Population(members=pop.members[idx], energies=pop.energies[idx],
+                         generation=pop.generation)
+
+
+def _reference_recached(pop, members, rows, model):
+    energies = pop.energies
+    if rows.size:
+        energies = energies.copy()
+        energies[rows] = model(members[rows])
+    return tg.Population(members=members, energies=energies, generation=pop.generation)
+
+
+def reference_crossover(pop, p_c, seed, model):
+    rng = np.random.default_rng(seed)
+    m, n = pop.members.shape
+    order = rng.permutation(m)
+    do_cross = rng.random(m // 2) < p_c
+    cuts = rng.integers(1, n, size=m // 2) if n > 1 else np.ones(m // 2, dtype=np.int64)
+    members = pop.members.copy()
+    touched = []
+    for pair_idx in np.nonzero(do_cross)[0]:
+        if n == 1:
+            continue
+        i, j = order[2 * pair_idx], order[2 * pair_idx + 1]
+        members[i], members[j] = ga.cross_pair(pop.members[i], pop.members[j],
+                                               int(cuts[pair_idx]))
+        touched += [i, j]
+    touched = np.array(touched, dtype=np.intp)
+    changed = touched[np.any(members[touched] != pop.members[touched], axis=1)]
+    return _reference_recached(pop, members, changed, model)
+
+
+def reference_mutate(pop, p_m, seed, model):
+    if p_m == 0.0:
+        return pop
+    rng = np.random.default_rng(seed)
+    flips = rng.random(pop.members.shape) < p_m
+    members = np.where(flips, -pop.members, pop.members).astype(np.int8)
+    return _reference_recached(pop, members, np.flatnonzero(flips.any(axis=1)), model)
+
+
+def reference_replica(cfg, replica):
+    """One replica run on its own, generation by generation."""
+    disorder = experiment._build_disorder(cfg, replica)
+    model = experiment._build_evaluator(cfg, disorder)
+    oracle = experiment._build_oracle(cfg, disorder, replica)
+    pop = tg.init_population(cfg.ga, model,
+                             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 1)))
+    state = tg.LearnerState(temperature=cfg.t0, learning_rate=cfg.learning_rate)
+    rows = cfg.generations + 1
+    temp, u_ga, u_gibbs, best = (np.empty(rows) for _ in range(4))
+    temp[0] = state.temperature
+    u_ga[0] = tg.empirical_energy(pop)
+    u_gibbs[0] = oracle.energy(state.temperature)
+    best[0] = float(pop.energies.min())
+    for t in range(1, rows):
+        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 3 + t))
+        s_sel, s_cross, s_mut = ss.spawn(3)
+        if cfg.ga.selection_mode == "tournament":
+            selected = reference_tournament_select(pop, cfg.ga, s_sel)
+        else:
+            selected = reference_boltzmann_select(pop, cfg.ga.boltzmann_beta, s_sel)
+        crossed = reference_crossover(selected, cfg.ga.crossover_rate, s_cross, model)
+        pop = reference_mutate(crossed, cfg.ga.mutation_rate, s_mut, model)
+        measured = selected if cfg.snapshot_policy == "post_selection" else pop
+        u_meas = tg.empirical_energy(measured)
+        state = tg.learner_step(state, u_meas, float(u_gibbs[t - 1]))
+        temp[t] = state.temperature
+        u_ga[t] = u_meas
+        u_gibbs[t] = oracle.energy(state.temperature)
+        best[t] = float(pop.energies.min())
+    return temp, u_ga, u_gibbs, best
+
+
+class TestLockstepMatchesReference:
+    """Replicas advanced as one batch reproduce replicas run one by one, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.sampled_from([tg.ModelKind.CHAIN, tg.ModelKind.SK]),
+           n=st.integers(2, 12),
+           pairs=st.integers(1, 6),
+           sigma=st.sampled_from(["1", "2", "3", "M"]),
+           selection=st.sampled_from(["tournament", "boltzmann"]),
+           beta=st.sampled_from([0.0, 0.7, 5.0]),
+           snapshot=st.sampled_from(experiment.SNAPSHOT_POLICIES),
+           p_c=st.sampled_from([0.0, 0.3, 1.0]),
+           p_m=st.sampled_from([0.0, 0.05, 1.0]),
+           replicas=st.integers(1, 3),
+           generations=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_arrays_equal_per_replica_reference(self, model, n, pairs, sigma, selection, beta,
+                                                snapshot, p_c, p_m, replicas, generations, seed):
+        m = 2 * pairs
+        k = m if sigma == "M" else min(int(sigma), m)
+        cfg = experiment.ExperimentConfig(
+            name="lockstep", model=model, n=n,
+            ga=tg.GAParams(population_size=m, genome_length=n, tournament_size=k,
+                           crossover_rate=p_c, mutation_rate=p_m, selection_mode=selection,
+                           boltzmann_beta=beta),
+            disorder=tg.DisorderParams(0.0, 1.0, model),
+            t0=2.0, learning_rate=1e-2, generations=generations, replicas=replicas,
+            seed=seed, oracle="enumeration", snapshot_policy=snapshot)
+        with tempfile.TemporaryDirectory() as out:
+            summary = experiment.run_experiment(cfg, output_dir=out)
+        assert summary.replica_failures == []
+        ref = [reference_replica(cfg, r) for r in range(replicas)]
+        for got, want in zip((summary.temperature, summary.u_ga, summary.u_gibbs,
+                              summary.best_energy), zip(*ref)):
+            assert np.array_equal(got, np.stack(want))
+
+    def test_replica_output_does_not_depend_on_replica_count(self, tmp_path):
+        one = experiment.run_experiment(tiny_chain_config(tmp_path / "one", replicas=1))
+        three = experiment.run_experiment(tiny_chain_config(tmp_path / "three", replicas=3))
+        assert ((tmp_path / "one" / "replica_00.tsv").read_bytes()
+                == (tmp_path / "three" / "replica_00.tsv").read_bytes())
+        assert np.array_equal(one.temperature[0], three.temperature[0])
+
+
 class TestOracleCalls:
     @settings(max_examples=8, deadline=None)
     @given(generations=st.integers(1, 12), replicas=st.integers(1, 3))
@@ -237,6 +379,69 @@ class TestReplicaFailures:
         assert "all 2 replicas failed" in err and err.count("ConvergenceError") == 2
 
 
+class TestMidRunFailures:
+    """In lockstep, a replica that raises at generation t > 0 leaves the batch alone."""
+
+    @staticmethod
+    def run_failing(out, calls_before_failure):
+        original = experiment._build_oracle
+
+        def build(cfg, disorder, replica):
+            oracle = original(cfg, disorder, replica)
+            if replica not in calls_before_failure:
+                return oracle
+            calls = {"n": 0}
+
+            def energy(T):
+                calls["n"] += 1
+                if calls["n"] > calls_before_failure[replica]:
+                    raise ConvergenceError("RS fixed point did not converge", residual=1.0)
+                return oracle.energy(T)
+            return tg.EnergyOracle(evaluator=energy, kind=oracle.kind)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "_build_oracle", build)
+            return experiment.run_experiment(tiny_chain_config(out, replicas=3))
+
+    def test_failed_replica_dropped_survivors_unchanged(self, tmp_path):
+        clean = experiment.run_experiment(tiny_chain_config(tmp_path / "clean", replicas=3))
+        summary = self.run_failing(tmp_path / "f", {1: 3})
+        assert [r for r, _ in summary.replica_failures] == [1]
+        assert (tmp_path / "f" / "failures.txt").read_text() == (
+            "replica 1: ConvergenceError: RS fixed point did not converge\n")
+        assert not (tmp_path / "f" / "replica_01.tsv").exists()
+        for name in ("replica_00.tsv", "replica_02.tsv"):
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+        assert np.array_equal(summary.temperature, clean.temperature[[0, 2]])
+
+    def test_failures_listed_by_replica_index(self, tmp_path):
+        # replica 2 fails at generation 1, replica 0 at generation 4
+        summary = self.run_failing(tmp_path / "f", {2: 1, 0: 4})
+        assert [r for r, _ in summary.replica_failures] == [0, 2]
+        lines = (tmp_path / "f" / "failures.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines] == ["replica 0", "replica 2"]
+        assert summary.temperature.shape == (1, 6)
+
+    def test_kernel_failure_fails_every_live_replica(self, tmp_path, monkeypatch):
+        # replica 1's oracle fails at generation 1; the batched mutation then
+        # raises at generation 3, which no single replica can be blamed for
+        original, calls = ga.mutate, []
+
+        def mutate(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(ga, "mutate", mutate)
+        with pytest.raises(RuntimeError) as err:
+            self.run_failing(tmp_path / "f", {1: 1})
+        assert str(err.value) == (
+            "all 3 replicas failed: [(0, 'FloatingPointError: injected'), "
+            "(1, 'ConvergenceError: RS fixed point did not converge'), "
+            "(2, 'FloatingPointError: injected')]")
+
+
 class TestOutputResolution:
     def test_env_override_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiment.ENV_OUTPUT_DIR, str(tmp_path / "env"))
@@ -280,6 +485,19 @@ class TestCli:
         path.write_text(experiment.serialize_config(cfg))
         assert cli.main(["run", str(path)]) == 0
         assert (tmp_path / "cli-run" / "temperature.tsv").exists()
+
+    def test_oracle_check_output_dir_follows_env_var(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(experiment.ENV_OUTPUT_DIR, str(tmp_path / "env"))
+        assert cli.main(["oracle-check", "--out", str(tmp_path / "cli")]) == 0
+        report = (tmp_path / "env" / "oracle-small-n" / "oracle_check.txt").read_text()
+        assert report.splitlines() == capsys.readouterr().out.splitlines()
+        assert not (tmp_path / "cli").exists()
+
+        seen = []
+        monkeypatch.setattr(experiment, "oracle_check",
+                            lambda seed, output_dir: seen.append(output_dir) or (True, []))
+        assert cli.main(["oracle-check"]) == 0
+        assert seen == [tmp_path / "env" / "oracle-small-n"]
 
     def test_unknown_preset_exit_code(self):
         assert cli.main(["preset", "nope"]) == cli.EXIT_CONFIG

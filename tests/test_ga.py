@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import thermoga as tg
-from thermoga.ga import cross_pair
+from thermoga.ga import BlockSeeds, cross_pair, smallest_keys
 
 CHAIN = tg.ModelKind.CHAIN
 
@@ -90,6 +90,16 @@ class TestTournament:
             out = tg.tournament_select(pop, params, 2000 + k)
             wins += tg.empirical_energy(out) <= tg.empirical_energy(pop)
         assert wins == 100
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 12])
+    def test_energy_tie_goes_to_smaller_key(self, k):
+        # distinct genomes, equal energies: each slot keeps its smallest-key candidate
+        members = np.eye(12, dtype=np.int8) * 2 - 1
+        pop = tg.Population(members=members, energies=np.zeros(12), generation=0)
+        out = tg.tournament_select(pop, make_params(population_size=12, genome_length=12,
+                                                    tournament_size=k), 5)
+        keys = np.random.default_rng(5).random((12, 12))
+        assert np.array_equal(out.members, members[keys.argmin(axis=1)])
 
     def test_generation_unchanged(self, chain_setup):
         _, model = chain_setup
@@ -300,6 +310,87 @@ class TestStepGeneration:
                 best.append(per_gen)
             track[sigma] = np.median(np.asarray(best), axis=0)
         assert np.all(track[4][1:15] <= track[2][1:15])
+
+
+class TestSmallestKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 6), m=st.integers(1, 30), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_candidate_set_of_argpartition(self, rows, m, data, seed):
+        k = data.draw(st.integers(1, m))
+        keys = np.random.default_rng(seed).random((rows, m))
+        want = np.argpartition(keys, k - 1, axis=1)[:, :k]
+        got = smallest_keys(keys.copy(), k)
+        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+        assert np.all(np.diff(np.take_along_axis(keys, got, 1), axis=1) > 0)
+        if k <= 2:
+            assert np.array_equal(got, want)
+
+
+def test_direct_children_draw_like_spawned_children():
+    # SeedSequence(entropy, (r, 3 + t, i)) in a bare PCG64 is child i of spawn(3)
+    for entropy, r, t in [(0, 0, 1), (101, 3, 1500), (2**40 + 7, 9, 2000)]:
+        spawned = np.random.SeedSequence(entropy=entropy, spawn_key=(r, 3 + t)).spawn(3)
+        for i, child in enumerate(spawned):
+            direct = np.random.SeedSequence(entropy=entropy, spawn_key=(r, 3 + t, i))
+            a, b = np.random.default_rng(child), np.random.Generator(np.random.PCG64(direct))
+            assert np.array_equal(a.random(50), b.random(50))
+            assert np.array_equal(a.permutation(20), b.permutation(20))
+            assert np.array_equal(a.integers(1, 40, size=10), b.integers(1, 40, size=10))
+
+
+class TestBlocks:
+    """R replica blocks advanced together equal R populations advanced alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from([CHAIN, tg.ModelKind.SK]), n=st.integers(2, 30),
+           pairs=st.integers(1, 8), blocks=st.integers(1, 4),
+           sigma=st.sampled_from([1, 2, 3, 4]),
+           selection=st.sampled_from(["tournament", "boltzmann"]),
+           p_c=st.sampled_from([0.0, 0.5, 1.0]), p_m=st.sampled_from([0.0, 0.02, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_step_generation_per_block(self, kind, n, pairs, blocks, sigma, selection,
+                                       p_c, p_m, seed):
+        params = make_params(population_size=2 * pairs, genome_length=n,
+                             tournament_size=min(sigma, 2 * pairs), crossover_rate=p_c,
+                             mutation_rate=p_m, selection_mode=selection, boltzmann_beta=1.5)
+        disorders = [_random_disorder(kind, n, seed + r) for r in range(blocks)]
+        models = [tg.chain_evaluator(d) if kind is CHAIN else tg.sk_evaluator(d)
+                  for d in disorders]
+        alone = [tg.init_population(params, model, seed + 10 + r)
+                 for r, model in enumerate(models)]
+        batch = tg.Population(members=np.concatenate([p.members for p in alone]),
+                              energies=np.concatenate([p.energies for p in alone]), generation=0)
+        model = tg.replica_evaluator(disorders)
+        for t in range(3):
+            selected, batch = tg.step_generation(
+                batch, params, model,
+                BlockSeeds(np.random.SeedSequence(entropy=seed, spawn_key=(r, t))
+                           for r in range(blocks)),
+                return_selected=True)
+            picked = [tg.step_generation(p, params, mod,
+                                         np.random.SeedSequence(entropy=seed, spawn_key=(r, t)),
+                                         return_selected=True)
+                      for r, (p, mod) in enumerate(zip(alone, models))]
+            alone = [after for _, after in picked]
+            assert np.array_equal(selected.energies,
+                                  np.concatenate([sel.energies for sel, _ in picked]))
+            assert np.array_equal(batch.members, np.concatenate([p.members for p in alone]))
+            assert np.array_equal(batch.energies, np.concatenate([p.energies for p in alone]))
+            assert batch.generation == t + 1
+
+    def test_rows_must_split_into_blocks(self, chain_setup):
+        _, model = chain_setup
+        pop = tg.init_population(make_params(population_size=6), model, 1)
+        with pytest.raises(tg.errors.DimensionMismatchError):
+            tg.mutate(pop, 0.1, BlockSeeds([1, 2, 3, 4]), lambda members, blocks: model(members))
+
+    def test_tuple_seed_is_one_seed(self, chain_setup):
+        _, model = chain_setup
+        pop = tg.init_population(make_params(), model, 1)
+        a = tg.step_generation(pop, make_params(), model, (3, 7))
+        b = tg.step_generation(pop, make_params(), model, np.random.SeedSequence((3, 7)))
+        assert np.array_equal(a.members, b.members)
 
 
 def test_sigma_one_neutral_dynamics_is_stationary():
