@@ -19,15 +19,11 @@ from .analysis import (
     residual_energy_series,
 )
 from .analytic import (
-    DEFAULT_RULE,
-    FixedPointOptions,
-    QuadratureRule,
     RSOrderParams,
     chain_free_energy_density,
     chain_ground_state_density,
     chain_internal_energy,
     erfcc,
-    gauss_hermite_rule,
     gaussian_mean_abs,
     sk_internal_energy_density,
     sk_rs_fixed_point,
@@ -36,6 +32,7 @@ from .analytic import (
 from .experiment import (
     ExperimentConfig,
     McmcCurveConfig,
+    RunResult,
     RunSummary,
     emit_plot_data,
     list_presets,
@@ -43,6 +40,7 @@ from .experiment import (
     oracle_check,
     parse_config,
     preset_configs,
+    run_config,
     run_experiment,
     run_mcmc_curve,
     run_preset,

@@ -27,11 +27,13 @@ fixed Gauss-Legendre panel in u.  Both branches agree to ~1e-12 where they
 meet, and the low-T limits (q -> 1, U -> -sqrt(2/pi) at (J0,J)=(0,1)) come
 out exact by construction.
 
-The RS equations are solved by Anderson-accelerated fixed-point iteration
-(see `sk_rs_fixed_point`).
+The Gauss-Hermite rule has 101 nodes, built once at import.  The RS
+equations are solved by Anderson-accelerated fixed-point iteration to a
+defect of `_RS_TOLERANCE` within `_RS_MAX_ITERATIONS` steps (see
+`sk_rs_fixed_point`).  Every model needs exactly this one rule and this one
+budget, so neither is a parameter.
 
-All functions are pure; `QuadratureRule` instances are read-only and safe
-to share across workers.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -55,47 +57,26 @@ from .spin_systems import DisorderParams
 _BETA_A_SPLIT = 1.0      # Gauss-Hermite below, u-substitution above
 _U_PANEL_HALF = 20.0     # tanh(u)-sgn(u) and sech^2(u) are ~1e-17 by u=20
 _U_PANEL_NODES = 400
+_RS_TOLERANCE = 1e-12    # largest accepted defect of the RS equations
+_RS_MAX_ITERATIONS = 100_000
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights integrating f against the Gaussian measure Dx."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=np.float64)
-        weights = np.array(self.weights, dtype=np.float64)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 (the measure is normalized)")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def expect(self, f) -> float:
-        """E[f(Z)] for Z standard normal."""
-        return float(self.weights @ f(self.nodes))
-
-
-def gauss_hermite_rule(n: int = 101) -> QuadratureRule:
-    """Gauss-Hermite rule rescaled to the standard normal measure.
+def _gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Hermite rule for the measure Dx.
 
     Exact for polynomials up to degree 2n-1.
     """
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
     x, w = hermgauss(n)
-    return QuadratureRule(nodes=np.sqrt(2.0) * x, weights=w / np.sqrt(np.pi), degree=2 * n - 1)
+    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
-DEFAULT_RULE = gauss_hermite_rule(101)
+_GH_NODES, _GH_WEIGHTS = _gauss_hermite_rule(101)
+
+
+def _gauss(f) -> float:
+    """E[f(Z)] for Z standard normal, on the Gauss-Hermite rule."""
+    return float(_GH_WEIGHTS @ f(_GH_NODES))
+
 
 _u_panel_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -142,10 +123,10 @@ def gaussian_mean_abs(mean: float, std: float) -> float:
     return float(std * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * r * r) + mean * (1.0 - 2.0 * erfcc(r)))
 
 
-def _expect_tanh(beta: float, a: float, b: float, rule: QuadratureRule) -> float:
+def _expect_tanh(beta: float, a: float, b: float) -> float:
     """int Dz tanh(beta*(a z + b)) for a >= 0, robust for all beta."""
     if beta * a <= _BETA_A_SPLIT:
-        return rule.expect(lambda z: np.tanh(beta * (a * z + b)))
+        return _gauss(lambda z: np.tanh(beta * (a * z + b)))
     un, uw = _u_panel()
     zp = (un / beta - b) / a
     zm = (-un / beta - b) / a
@@ -155,10 +136,10 @@ def _expect_tanh(beta: float, a: float, b: float, rule: QuadratureRule) -> float
     return base + corr
 
 
-def _expect_sech2(beta: float, a: float, b: float, rule: QuadratureRule) -> float:
+def _expect_sech2(beta: float, a: float, b: float) -> float:
     """int Dz sech^2(beta*(a z + b)) for a >= 0, robust for all beta."""
     if beta * a <= _BETA_A_SPLIT:
-        return rule.expect(lambda z: _sech2(beta * (a * z + b)))
+        return _gauss(lambda z: _sech2(beta * (a * z + b)))
     un, uw = _u_panel()
     zp = (un / beta - b) / a
     zm = (-un / beta - b) / a
@@ -166,14 +147,14 @@ def _expect_sech2(beta: float, a: float, b: float, rule: QuadratureRule) -> floa
     return float(np.sum(uw * (_phi(zp) + _phi(zm)) * sc)) / (beta * a)
 
 
-def _expect_tanh2(beta: float, a: float, b: float, rule: QuadratureRule) -> float:
-    return 1.0 - _expect_sech2(beta, a, b, rule)
+def _expect_tanh2(beta: float, a: float, b: float) -> float:
+    return 1.0 - _expect_sech2(beta, a, b)
 
 
-def _expect_log2cosh(beta: float, a: float, b: float, rule: QuadratureRule) -> float:
+def _expect_log2cosh(beta: float, a: float, b: float) -> float:
     """int Dz log 2 cosh(beta*(a z + b)), robust for all beta."""
     if beta * a <= _BETA_A_SPLIT:
-        return rule.expect(lambda z: _log2cosh(beta * (a * z + b)))
+        return _gauss(lambda z: _log2cosh(beta * (a * z + b)))
     # |v| part has the exact Gaussian mean-absolute form; the soft remainder
     # log(1+e^{-2|v|}) is localized and handled on the u-panel.
     un, uw = _u_panel()
@@ -184,21 +165,21 @@ def _expect_log2cosh(beta: float, a: float, b: float, rule: QuadratureRule) -> f
     return beta * a * gaussian_mean_abs(b / a, 1.0) + corr
 
 
-def chain_free_energy_density(T: float, params: DisorderParams, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def chain_free_energy_density(T: float, params: DisorderParams) -> float:
     """log Z per spin of the chain: int Dx log 2 cosh beta*(J0 + J x)."""
     if T <= 0:
         raise DomainError("temperature must be positive")
-    return _expect_log2cosh(1.0 / T, params.std, params.mean, rule)
+    return _expect_log2cosh(1.0 / T, params.std, params.mean)
 
 
-def chain_internal_energy(T: float, params: DisorderParams, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def chain_internal_energy(T: float, params: DisorderParams) -> float:
     """Chain internal energy per spin at temperature T (equals -df/dbeta)."""
     if T <= 0:
         raise DomainError("temperature must be positive")
     beta = 1.0 / T
     j0, j = params.mean, params.std
-    term1 = -j0 * _expect_tanh(beta, j, j0, rule) if j0 != 0.0 else 0.0
-    term2 = -beta * j * j * _expect_sech2(beta, j, j0, rule) if j != 0.0 else 0.0
+    term1 = -j0 * _expect_tanh(beta, j, j0) if j0 != 0.0 else 0.0
+    term2 = -beta * j * j * _expect_sech2(beta, j, j0) if j != 0.0 else 0.0
     return term1 + term2
 
 
@@ -207,16 +188,6 @@ def chain_ground_state_density(params: DisorderParams) -> float:
     if params.std == 0.0 and params.mean == 0.0:
         raise DegenerateDisorderError("J0 = J = 0 has no meaningful ground state")
     return -gaussian_mean_abs(params.mean, params.std)
-
-
-@dataclass(frozen=True)
-class FixedPointOptions:
-    tolerance: float = 1e-12
-    max_iterations: int = 100_000
-
-    def __post_init__(self):
-        if self.tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("tolerance and max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -264,8 +235,6 @@ def rs_starting_point(T: float, params: DisorderParams,
 def sk_rs_fixed_point(
     T: float,
     params: DisorderParams,
-    rule: QuadratureRule = DEFAULT_RULE,
-    options: FixedPointOptions = FixedPointOptions(),
     initial: tuple[float, float] | None = None,
 ) -> RSOrderParams:
     """Solve the RS equations of state by Anderson-accelerated iteration.
@@ -297,15 +266,15 @@ def sk_rs_fixed_point(
     prev = None
     mixing = True
     defect = math.inf
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, _RS_MAX_ITERATIONS + 1):
         a = j * math.sqrt(q)
         b = j0 * m
-        gm = _expect_tanh(beta, a, b, rule)
-        gq = _expect_tanh2(beta, a, b, rule)
+        gm = _expect_tanh(beta, a, b)
+        gq = _expect_tanh2(beta, a, b)
         fm, fq = gm - m, gq - q
         defect = max(abs(fm), abs(fq))
-        if defect <= options.tolerance:
-            unstable = (j0 > 0.0 and abs(m) <= math.sqrt(options.tolerance)
+        if defect <= _RS_TOLERANCE:
+            unstable = (j0 > 0.0 and abs(m) <= math.sqrt(_RS_TOLERANCE)
                         and beta * j0 * (1.0 - q) > 1.0)
             if not (mixing and unstable):
                 return RSOrderParams(m=m, q=q, temperature=T, residual=defect, iterations=it)
@@ -323,9 +292,9 @@ def sk_rs_fixed_point(
         prev = (fm, fq, gm, gq)
         m, q = _clip(m_next, -1.0, 1.0), _clip(q_next, 0.0, 1.0)
     raise ConvergenceError(
-        f"RS fixed point did not converge within {options.max_iterations} iterations "
+        f"RS fixed point did not converge within {_RS_MAX_ITERATIONS} iterations "
         f"(last defect {defect:.3e})",
-        m=m, q=q, residual=defect, iterations=options.max_iterations,
+        m=m, q=q, residual=defect, iterations=_RS_MAX_ITERATIONS,
     )
 
 

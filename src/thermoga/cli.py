@@ -7,7 +7,8 @@ Verbs:
     oracle-check [--out DIR]           run the small-size cross-oracle suite
                                        (the `oracle-small-n` preset)
 
-Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numeric failure.
+Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numeric failure
+(a failed oracle check included, whichever verb ran it).
 `THERMOGA_OUTPUT_DIR` overrides the output directory for all verbs.
 """
 
@@ -55,28 +56,18 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.verb == "preset":
-            written = experiment.run_preset(args.name, desk=args.desk, output_dir=args.out)
-            for path in written:
-                print(path)
-            return EXIT_OK
-
-        if args.verb == "oracle-check":
-            [(_, cfg)] = experiment.preset_configs("oracle-small-n")
+            results = experiment.run_preset(args.name, desk=args.desk, output_dir=args.out)
+            for res in results:
+                print(res.output_dir)
         else:
-            cfg = experiment.load_config(args.config)
-        if isinstance(cfg, experiment.ExperimentConfig):
-            summary = experiment.run_experiment(cfg, output_dir=args.out)
-            experiment.emit_plot_data(summary)
-            print(summary.output_dir)
-        elif isinstance(cfg, experiment.McmcCurveConfig):
-            paths = experiment.run_mcmc_curve(cfg, output_dir=args.out)
-            print(paths[0].parent)
-        else:
-            out = experiment.resolve_output_dir(cfg, args.out)
-            ok, lines = experiment.oracle_check(cfg.seed, output_dir=out)
-            print("\n".join(lines))
-            return EXIT_OK if ok else EXIT_NUMERIC
-        return EXIT_OK
+            if args.verb == "oracle-check":
+                [(_, cfg)] = experiment.preset_configs("oracle-small-n")
+            else:
+                cfg = experiment.load_config(args.config)
+            res = experiment.run_config(cfg, output_dir=args.out)
+            print(res.output_dir if res.report is None else "\n".join(res.report))
+            results = [res]
+        return EXIT_OK if all(res.passed for res in results) else EXIT_NUMERIC
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

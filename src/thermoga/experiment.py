@@ -15,7 +15,8 @@ Config files are flat two-level INI text (sections [run], [ga],
 [disorder]); presets cover the standard figure-style experiments for both
 models plus the MCMC-versus-exact internal-energy curve and a small-size
 cross-oracle suite.  Desk variants shrink the system size for fast runs on
-a laptop while keeping every other parameter.
+a laptop while keeping every other parameter.  `run_config` runs a config
+of any of these kinds; `run_preset` and every CLI verb go through it.
 
 The learner defaults used by the campaign presets (T0 = 10, eta = 3e-5/N
 for the chain, 2.5e-3/N for the SK runs) are deliberate and documented in
@@ -30,6 +31,7 @@ import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .spin_systems import DisorderParams, ModelKind
 
 ENV_OUTPUT_DIR = "THERMOGA_OUTPUT_DIR"
 SNAPSHOT_POLICIES = ("post_mutation", "post_selection")
+ORACLES = ("analytic_chain", "analytic_sk", "mcmc", "enumeration")
 
 # spawn-key slots per replica
 _KEY_DISORDER, _KEY_INIT, _KEY_ORACLE, _KEY_GEN_BASE = 0, 1, 2, 3
@@ -56,19 +59,22 @@ class ExperimentConfig:
     generations: int
     replicas: int
     seed: int
-    oracle: str = "analytic_chain"
+    oracle: str | None = None        # None: the model's analytic oracle
     snapshot_policy: str = "post_mutation"
     sk_pair_convention: str = spin_systems.SK_PAIR_CONVENTION
     output_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "model", ModelKind(self.model))
+        if self.oracle is None:
+            object.__setattr__(self, "oracle", "analytic_chain" if self.model is ModelKind.CHAIN
+                               else "analytic_sk")
         if self.generations < 1 or self.replicas < 1:
             raise ValueError("generations and replicas must be at least 1")
         if self.t0 <= 0 or self.learning_rate < 0:
             raise ValueError("t0 must be positive and learning_rate nonnegative")
-        if self.oracle not in learner.ORACLE_KINDS:
-            raise ValueError(f"unknown oracle kind {self.oracle!r}")
+        if self.oracle not in ORACLES:
+            raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.snapshot_policy not in SNAPSHOT_POLICIES:
             raise ValueError(f"unknown snapshot policy {self.snapshot_policy!r}")
         if self.sk_pair_convention not in spin_systems.SK_CONVENTIONS:
@@ -241,7 +247,7 @@ def parse_config(text: str):
         generations=run.getint("generations"),
         replicas=run.getint("replicas"),
         seed=run.getint("seed"),
-        oracle=run.get("oracle", "analytic_chain" if model is ModelKind.CHAIN else "analytic_sk"),
+        oracle=run.get("oracle"),
         snapshot_policy=run.get("snapshot_policy", "post_mutation"),
         sk_pair_convention=run.get("sk_pair_convention", spin_systems.SK_PAIR_CONVENTION),
         output_dir=out,
@@ -506,17 +512,16 @@ def run_mcmc_curve(cfg: McmcCurveConfig, output_dir=None) -> list[Path]:
     temps = np.asarray(cfg.temperatures)
     means = np.empty(temps.size)
     errs = np.empty(temps.size)
+    disorders = [spin_systems.sample_chain_disorder(
+                     cfg.n, cfg.disorder,
+                     np.random.SeedSequence(entropy=cfg.seed, spawn_key=(d_idx, 0)))
+                 for d_idx in range(cfg.realizations)]
     for ti, T in enumerate(temps):
-        per_disorder = []
-        for d_idx in range(cfg.realizations):
-            dis = spin_systems.sample_chain_disorder(
-                cfg.n, cfg.disorder,
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(d_idx, 0)))
-            est, _ = mcmc.estimate_internal_energy(
+        arr = np.array([
+            mcmc.estimate_internal_energy(
                 dis, float(T), cfg.options,
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(d_idx, 1 + ti)))
-            per_disorder.append(est)
-        arr = np.asarray(per_disorder)
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(d_idx, 1 + ti)))[0]
+            for d_idx, dis in enumerate(disorders)])
         means[ti] = arr.mean()
         errs[ti] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
 
@@ -618,7 +623,6 @@ def _chain_campaign(name, variant, seed, desk, sigma=2, p_c=0.1, p_m=0.001):
         generations=_GENERATIONS,
         replicas=_REPLICAS,
         seed=seed,
-        oracle="analytic_chain",
     )
 
 
@@ -636,7 +640,6 @@ def _sk_campaign(name, variant, seed, desk, sigma=2, p_c=0.05, p_m=0.005):
         generations=_GENERATIONS,
         replicas=_REPLICAS,
         seed=seed,
-        oracle="analytic_sk",
     )
 
 
@@ -689,24 +692,32 @@ def preset_configs(name: str, desk: bool = False):
     return _PRESET_BUILDERS[name](desk)
 
 
-def run_preset(name: str, desk: bool = False, output_dir=None) -> list[Path]:
-    """Run every variant of a preset; returns the directories written."""
+class RunResult(NamedTuple):
+    """Where one run wrote its files, and whether its checks passed."""
+
+    output_dir: Path
+    passed: bool = True
+    report: list[str] | None = None  # the oracle suite's PASS/FAIL lines
+
+
+def run_config(cfg, output_dir=None) -> RunResult:
+    """Run one config of any kind and write its files."""
+    if isinstance(cfg, ExperimentConfig):
+        summary = run_experiment(cfg, output_dir=output_dir)
+        emit_plot_data(summary)
+        return RunResult(summary.output_dir)
+    if isinstance(cfg, McmcCurveConfig):
+        return RunResult(run_mcmc_curve(cfg, output_dir=output_dir)[0].parent)
+    out = resolve_output_dir(cfg, output_dir)
+    passed, lines = oracle_check(cfg.seed, output_dir=out)
+    return RunResult(out, passed, lines)
+
+
+def run_preset(name: str, desk: bool = False, output_dir=None) -> list[RunResult]:
+    """Run every variant of a preset, each into its own directory."""
     variants = preset_configs(name, desk)
-    base = Path(output_dir) if output_dir is not None else None
-    written = []
-    for label, cfg in variants:
-        target = None
-        if base is not None:
-            target = base / label if len(variants) > 1 else base
-        if isinstance(cfg, ExperimentConfig):
-            summary = run_experiment(cfg, output_dir=target)
-            emit_plot_data(summary)
-            written.append(summary.output_dir)
-        elif isinstance(cfg, McmcCurveConfig):
-            paths = run_mcmc_curve(cfg, output_dir=target)
-            written.append(paths[0].parent)
-        else:
-            out = resolve_output_dir(cfg, target)
-            oracle_check(cfg.seed, output_dir=out)
-            written.append(out)
-    return written
+    if output_dir is None:
+        return [run_config(cfg) for _, cfg in variants]
+    base = Path(output_dir)
+    return [run_config(cfg, base / label if len(variants) > 1 else base)
+            for label, cfg in variants]

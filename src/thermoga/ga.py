@@ -21,7 +21,8 @@ returns a new immutable Population with freshly cached energies, so
 populations can be shared freely between workers.  Crossover and mutation
 recompute energies only for the rows they changed.  Seeds are anything
 `numpy.random.default_rng` accepts; `step_generation` additionally accepts
-a `SeedSequence` and derives one child stream per operator.
+a `SeedSequence` and derives one child stream per operator without
+changing it.
 """
 
 from __future__ import annotations
@@ -248,6 +249,18 @@ def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,
     return Population(members=members, energies=energies, generation=pop.generation)
 
 
+def _operator_seeds(seed) -> list[np.random.SeedSequence]:
+    """Selection, crossover and mutation streams of one block.
+
+    They are the children `spawn(3)` makes of a fresh `SeedSequence(seed)`,
+    derived without spawning, so a `SeedSequence` passed in is left as it
+    was and the same one gives the same offspring every time.
+    """
+    s = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.SeedSequence(s.entropy, spawn_key=s.spawn_key + (i,), pool_size=s.pool_size)
+            for i in range(3)]
+
+
 def step_generation(pop: Population, params: GAParams,
                     model: EnergyEvaluator | BlockEvaluator, seed, *,
                     return_selected: bool = False):
@@ -257,9 +270,7 @@ def step_generation(pop: Population, params: GAParams,
     after selection as well as the next generation.
     """
     seeds, model = _batch(seed, model)
-    children = [(s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s))
-                .spawn(3) for s in seeds]
-    s_sel, s_cross, s_mut = (BlockSeeds(c) for c in zip(*children))
+    s_sel, s_cross, s_mut = (BlockSeeds(c) for c in zip(*map(_operator_seeds, seeds)))
     if params.selection_mode == "tournament":
         selected = tournament_select(pop, params, s_sel)
     else:

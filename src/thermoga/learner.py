@@ -4,11 +4,16 @@ The population is approximated by a Gibbs distribution with a single
 parameter T.  Matching the model's mean energy to the population's mean
 energy drives the forward-Euler update
 
-    T  <-  max(t_floor, T - eta * T^2 * (U(T) - U_pop)),
+    T  <-  max(T_FLOOR, T - eta * T^2 * (U(T) - U_pop)),
 
 one learner step per GA generation.  A population colder than the current
 Gibbs model (U_pop < U(T)) therefore lowers T, and the update is stationary
-exactly when the two energies agree.
+exactly when the two energies agree.  The floor `T_FLOOR` keeps T positive
+whatever the energies do, and no learner may start below it.
+
+An `EnergyOracle` is nothing but the map T -> U(T); the builders below fix
+everything else, the analytic ones through `analytic`'s one quadrature
+rule and RS solver budget.
 
 Both U(T) and U_pop are total (extensive) energies.  Oracles built from
 per-spin densities multiply by the system size here, in one place; mixing a
@@ -32,7 +37,7 @@ from .errors import DimensionMismatchError, DomainError, UnbracketableError
 from .mcmc import MCMCOptions, estimate_internal_energy, exact_gibbs_expectation
 from .spin_systems import ChainDisorder, DisorderParams, SKDisorder
 
-ORACLE_KINDS = ("analytic_chain", "analytic_sk", "mcmc", "enumeration")
+T_FLOOR = 1e-6   # the learned temperature never drops below this
 
 
 @dataclass(frozen=True)
@@ -40,13 +45,10 @@ class LearnerState:
     temperature: float
     generation: int = 0
     learning_rate: float = 1e-3
-    t_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.t_floor <= 0:
-            raise ValueError("t_floor must be positive")
-        if self.temperature < self.t_floor:
-            raise ValueError("temperature must not undercut t_floor")
+        if self.temperature < T_FLOOR:
+            raise ValueError(f"temperature must not undercut T_FLOOR = {T_FLOOR}")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be nonnegative")
         if self.generation < 0:
@@ -58,11 +60,6 @@ class EnergyOracle:
     """Total Gibbs internal energy as a function of temperature."""
 
     evaluator: Callable[[float], float]
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ORACLE_KINDS:
-            raise ValueError(f"unknown oracle kind {self.kind!r}")
 
     def energy(self, T: float) -> float:
         return float(self.evaluator(T))
@@ -79,7 +76,7 @@ def learner_step(state: LearnerState, u_ga: float, u_model: float) -> LearnerSta
         raise DomainError("population and model energies must be finite")
     t = state.temperature
     gap = u_model - u_ga
-    t_new = max(state.t_floor, t - state.learning_rate * t * t * gap)
+    t_new = max(T_FLOOR, t - state.learning_rate * t * t * gap)
     return replace(state, temperature=t_new, generation=state.generation + 1)
 
 
@@ -124,31 +121,25 @@ def disorder_averaged_trajectory(runs) -> tuple[np.ndarray, np.ndarray]:
     return mean, stderr
 
 
-def analytic_chain_oracle(n: int, params: DisorderParams,
-                          rule: analytic.QuadratureRule | None = None) -> EnergyOracle:
+def analytic_chain_oracle(n: int, params: DisorderParams) -> EnergyOracle:
     """n times the quenched-average chain internal energy per spin."""
-    rule = rule or analytic.DEFAULT_RULE
 
     def evaluate(T: float) -> float:
-        return n * analytic.chain_internal_energy(T, params, rule)
+        return n * analytic.chain_internal_energy(T, params)
 
-    return EnergyOracle(evaluator=evaluate, kind="analytic_chain")
+    return EnergyOracle(evaluator=evaluate)
 
 
-def analytic_sk_oracle(n: int, params: DisorderParams,
-                       rule: analytic.QuadratureRule | None = None,
-                       options: analytic.FixedPointOptions | None = None) -> EnergyOracle:
+def analytic_sk_oracle(n: int, params: DisorderParams) -> EnergyOracle:
     """n times the RS internal energy per spin, warm-starting (m, q) across calls."""
-    rule = rule or analytic.DEFAULT_RULE
-    options = options or analytic.FixedPointOptions()
     warm = {"guess": None}
 
     def evaluate(T: float) -> float:
-        rs = analytic.sk_rs_fixed_point(T, params, rule, options, initial=warm["guess"])
+        rs = analytic.sk_rs_fixed_point(T, params, initial=warm["guess"])
         warm["guess"] = (rs.m, rs.q)
         return n * analytic.sk_internal_energy_density(T, params, rs)
 
-    return EnergyOracle(evaluator=evaluate, kind="analytic_sk")
+    return EnergyOracle(evaluator=evaluate)
 
 
 def enumeration_oracle(d: ChainDisorder | SKDisorder) -> EnergyOracle:
@@ -157,7 +148,7 @@ def enumeration_oracle(d: ChainDisorder | SKDisorder) -> EnergyOracle:
     def evaluate(T: float) -> float:
         return exact_gibbs_expectation(d, T)[0]
 
-    return EnergyOracle(evaluator=evaluate, kind="enumeration")
+    return EnergyOracle(evaluator=evaluate)
 
 
 def mcmc_oracle(d: ChainDisorder | SKDisorder, opts: MCMCOptions, seed) -> EnergyOracle:
@@ -166,4 +157,4 @@ def mcmc_oracle(d: ChainDisorder | SKDisorder, opts: MCMCOptions, seed) -> Energ
     def evaluate(T: float) -> float:
         return estimate_internal_energy(d, T, opts, seed)[0]
 
-    return EnergyOracle(evaluator=evaluate, kind="mcmc")
+    return EnergyOracle(evaluator=evaluate)

@@ -63,6 +63,25 @@ class TestConfigSerialization:
         with pytest.raises(ValueError):
             experiment.ExperimentConfig(**{**cfg.__dict__, "n": 31})
 
+    def test_unknown_oracle_rejected(self, tmp_path):
+        cfg = tiny_chain_config(tmp_path)
+        with pytest.raises(ValueError, match="psychic"):
+            experiment.ExperimentConfig(**{**cfg.__dict__, "oracle": "psychic"})
+
+    def test_oracle_defaults_to_the_models_analytic_oracle(self, tmp_path):
+        chain = tiny_chain_config(tmp_path)
+        assert experiment.ExperimentConfig(**{**chain.__dict__, "oracle": None}) == chain
+        n = 16
+        sk = experiment.ExperimentConfig(
+            name="sk", model=tg.ModelKind.SK, n=n,
+            ga=tg.GAParams(population_size=10, genome_length=n),
+            disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
+            t0=5.0, learning_rate=1e-3, generations=4, replicas=1, seed=17)
+        assert sk.oracle == "analytic_sk"
+        text = experiment.serialize_config(sk)
+        assert "oracle = analytic_sk" in text
+        assert experiment.parse_config(text.replace("oracle = analytic_sk\n", "")) == sk
+
 
 class TestRunExperiment:
     def test_minimal_row_count(self, tmp_path):
@@ -327,7 +346,7 @@ class TestOracleCalls:
         def counting(cfg, disorder, replica):
             oracle = original(cfg, disorder, replica)
             return tg.EnergyOracle(
-                evaluator=lambda T: calls.append(replica) or oracle.energy(T), kind=oracle.kind)
+                evaluator=lambda T: calls.append(replica) or oracle.energy(T))
 
         with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiment, "_build_oracle", counting)
@@ -346,7 +365,7 @@ class TestReplicaFailures:
 
             def fail(T):
                 raise ConvergenceError("RS fixed point did not converge", residual=1.0)
-            return tg.EnergyOracle(evaluator=fail, kind=cfg.oracle)
+            return tg.EnergyOracle(evaluator=fail)
 
         monkeypatch.setattr(experiment, "_build_oracle", build)
         summary = experiment.run_experiment(tiny_chain_config(tmp_path / "f", replicas=3))
@@ -363,8 +382,7 @@ class TestReplicaFailures:
         # the real RS solver, held to a budget it cannot meet, fails every replica;
         # t0 lies below T = J, since in the paramagnet the solve starts on its
         # root (0, 0) and one iteration suffices
-        budget = analytic.FixedPointOptions(max_iterations=1)
-        monkeypatch.setattr(analytic, "FixedPointOptions", lambda: budget)
+        monkeypatch.setattr(analytic, "_RS_MAX_ITERATIONS", 1)
         n = 16
         cfg = experiment.ExperimentConfig(
             name="sk-fail", model=tg.ModelKind.SK, n=n,
@@ -397,7 +415,7 @@ class TestMidRunFailures:
                 if calls["n"] > calls_before_failure[replica]:
                     raise ConvergenceError("RS fixed point did not converge", residual=1.0)
                 return oracle.energy(T)
-            return tg.EnergyOracle(evaluator=energy, kind=oracle.kind)
+            return tg.EnergyOracle(evaluator=energy)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiment, "_build_oracle", build)
@@ -472,6 +490,19 @@ class TestMcmcCurve:
             _, u_exact = map(float, row_e.split("\t"))
             assert abs(u - u_exact) < max(10 * se, 0.15 * abs(u_exact))
 
+    def test_each_realization_sampled_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = tg.spin_systems.sample_chain_disorder
+        monkeypatch.setattr(tg.spin_systems, "sample_chain_disorder",
+                            lambda *args: calls.append(args) or original(*args))
+        cfg = experiment.McmcCurveConfig(
+            name="curve", n=20, disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN),
+            temperatures=(0.5, 1.0, 2.0), realizations=3,
+            options=tg.MCMCOptions(sweeps=20, burn_in=5, thinning=3, chains=2),
+            seed=5, output_dir=str(tmp_path / "curve"))
+        experiment.run_mcmc_curve(cfg)
+        assert [args[2].spawn_key for args in calls] == [(0, 0), (1, 0), (2, 0)]
+
 
 class TestCli:
     def test_list_presets_verb(self, capsys):
@@ -498,6 +529,21 @@ class TestCli:
                             lambda seed, output_dir: seen.append(output_dir) or (True, []))
         assert cli.main(["oracle-check"]) == 0
         assert seen == [tmp_path / "env" / "oracle-small-n"]
+
+    def test_failed_oracle_check_exits_numeric_on_every_verb(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setenv(experiment.ENV_OUTPUT_DIR, str(tmp_path / "env"))
+        monkeypatch.setattr(experiment, "oracle_check",
+                            lambda seed, output_dir: (False, ["PASS  one", "FAIL  two"]))
+        assert cli.main(["oracle-check"]) == cli.EXIT_NUMERIC == 4
+        assert capsys.readouterr().out == "PASS  one\nFAIL  two\n"
+        [(_, cfg)] = experiment.preset_configs("oracle-small-n")
+        path = tmp_path / "suite.ini"
+        path.write_text(experiment.serialize_config(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().out == "PASS  one\nFAIL  two\n"
+        assert cli.main(["preset", "oracle-small-n"]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().out == f"{tmp_path / 'env' / 'oracle-small-n'}\n"
 
     def test_unknown_preset_exit_code(self):
         assert cli.main(["preset", "nope"]) == cli.EXIT_CONFIG

@@ -274,6 +274,22 @@ class TestStepGeneration:
         b = tg.step_generation(pop, make_params(), model, 24)
         assert np.array_equal(a.members, b.members)
 
+    def test_seed_sequence_reused_gives_same_offspring(self, chain_setup):
+        _, model = chain_setup
+        params = make_params(crossover_rate=0.5, mutation_rate=0.05)
+        pop = tg.init_population(params, model, 27)
+        ss = np.random.SeedSequence(entropy=28, spawn_key=(3, 4))
+        a = tg.step_generation(pop, params, model, ss)
+        b = tg.step_generation(pop, params, model, ss)
+        assert np.array_equal(a.members, b.members)
+        assert ss.n_children_spawned == 0
+        # the operator streams are the children spawn(3) makes of a fresh copy
+        s_sel, s_cross, s_mut = np.random.SeedSequence(entropy=28, spawn_key=(3, 4)).spawn(3)
+        ref = tg.mutate(tg.crossover(tg.tournament_select(pop, params, s_sel), 0.5, s_cross,
+                                     model), 0.05, s_mut, model)
+        assert np.array_equal(a.members, ref.members)
+        assert np.array_equal(a.energies, ref.energies)
+
     def test_collapse_to_best_under_pure_elitist_selection(self, chain_setup):
         _, model = chain_setup
         params = make_params(tournament_size=20, crossover_rate=0.0, mutation_rate=0.0)

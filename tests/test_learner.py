@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import thermoga as tg
+from thermoga import learner
 from thermoga.errors import DimensionMismatchError, DomainError, UnbracketableError
 
 CHAIN_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN)
@@ -32,11 +33,16 @@ class TestLearnerStep:
         assert out.temperature == 3.0
 
     def test_floor_clamp_under_adversarial_input(self):
-        state = tg.LearnerState(temperature=1.0, learning_rate=1.0, t_floor=1e-6)
+        state = tg.LearnerState(temperature=1.0, learning_rate=1.0)
         out = tg.learner_step(state, -1e12, 0.0)
-        assert out.temperature == 1e-6
+        assert out.temperature == learner.T_FLOOR == 1e-6
         out2 = tg.learner_step(out, -1e12, 0.0)
-        assert out2.temperature >= 1e-6
+        assert out2.temperature >= learner.T_FLOOR
+
+    def test_start_below_floor_rejected(self):
+        tg.LearnerState(temperature=learner.T_FLOOR)
+        with pytest.raises(ValueError):
+            tg.LearnerState(temperature=0.5 * learner.T_FLOOR)
 
     def test_descent_direction_sign(self):
         rng = np.random.default_rng(0)
@@ -46,7 +52,7 @@ class TestLearnerStep:
             u_pop = float(rng.normal(0, 10))
             state = tg.LearnerState(temperature=t, learning_rate=1e-4)
             out = tg.learner_step(state, u_pop, u_model)
-            if out.temperature > state.t_floor:
+            if out.temperature > learner.T_FLOOR:
                 assert np.sign(out.temperature - t) == -np.sign(u_model - u_pop) or u_model == u_pop
 
     def test_nonfinite_input_rejected(self):
@@ -73,7 +79,7 @@ class TestMatchTemperature:
             tg.match_temperature(-100.0, oracle, (8.0, 0.05))
 
     def test_decreasing_oracle_rejected(self):
-        oracle = tg.EnergyOracle(evaluator=lambda T: -T, kind="enumeration")
+        oracle = tg.EnergyOracle(evaluator=lambda T: -T)
         with pytest.raises(DomainError):
             tg.match_temperature(-1.0, oracle, (0.5, 2.0))
 
@@ -140,7 +146,3 @@ class TestOracleFactories:
         opts = tg.MCMCOptions(sweeps=200, burn_in=50, thinning=2, chains=2)
         oracle = tg.mcmc_oracle(d, opts, 7)
         assert oracle.energy(1.0) == oracle.energy(1.0)
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            tg.EnergyOracle(evaluator=lambda T: 0.0, kind="psychic")
