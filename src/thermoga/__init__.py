@@ -68,7 +68,6 @@ from .learner import (
     enumeration_oracle,
     learner_step,
     match_temperature,
-    mcmc_oracle,
 )
 from .mcmc import (
     MCMCOptions,

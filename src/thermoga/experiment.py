@@ -8,15 +8,20 @@ config and every output byte is reproducible.  The replicas advance in
 lockstep: their populations are the row blocks of one array, and one call
 of the generation kernel advances them all, while each keeps its own
 streams, learner and oracle.  A replica's output therefore does not depend
-on R.  Replicas that fail, at set-up or mid-run, are recorded and dropped;
-the disorder average is taken over the survivors.
+on R.  The learner of each replica is fitted, once per generation, to the
+mean energy of the offspring.  Replicas that fail, at set-up or mid-run,
+are recorded and dropped; the disorder average is taken over the survivors.
 
-Config files are flat two-level INI text (sections [run], [ga],
-[disorder]); presets cover the standard figure-style experiments for both
-models plus the MCMC-versus-exact internal-energy curve and a small-size
-cross-oracle suite.  Desk variants shrink the system size for fast runs on
-a laptop while keeping every other parameter.  `run_config` runs a config
-of any of these kinds; `run_preset` and every CLI verb go through it.
+A campaign config states each setting once: its system size `n` and its
+`model` are read from `ga.genome_length` and `disorder.model`.  Config
+files are flat two-level INI text (sections [run], [ga], [disorder]); a
+key left out takes its dataclass default, and a section or key the
+config's kind does not define is an error.  Presets cover the standard
+figure-style experiments for both models plus the MCMC-versus-exact
+internal-energy curve and a small-size cross-oracle suite.  Desk variants
+shrink the system size for fast runs on a laptop while keeping every other
+parameter.  `run_config` runs a config of any of these kinds; `run_preset`
+and every CLI verb go through it.
 
 The learner defaults used by the campaign presets (T0 = 10, eta = 3e-5/N
 for the chain, 2.5e-3/N for the SK runs) are deliberate and documented in
@@ -40,18 +45,17 @@ from .errors import DomainError
 from .spin_systems import DisorderParams, ModelKind
 
 ENV_OUTPUT_DIR = "THERMOGA_OUTPUT_DIR"
-SNAPSHOT_POLICIES = ("post_mutation", "post_selection")
-ORACLES = ("analytic_chain", "analytic_sk", "mcmc", "enumeration")
+ORACLES = ("analytic_chain", "analytic_sk", "enumeration")
 
-# spawn-key slots per replica
-_KEY_DISORDER, _KEY_INIT, _KEY_ORACLE, _KEY_GEN_BASE = 0, 1, 2, 3
+# spawn-key slots per replica; 2 stays free so generation t's stream keeps slot 3 + t
+_KEY_DISORDER, _KEY_INIT, _KEY_GEN_BASE = 0, 1, 3
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One campaign.  The system size and the model are those of `ga` and `disorder`."""
+
     name: str
-    model: ModelKind
-    n: int
     ga: ga.GAParams
     disorder: DisorderParams
     t0: float
@@ -60,12 +64,10 @@ class ExperimentConfig:
     replicas: int
     seed: int
     oracle: str | None = None        # None: the model's analytic oracle
-    snapshot_policy: str = "post_mutation"
     sk_pair_convention: str = spin_systems.SK_PAIR_CONVENTION
     output_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "model", ModelKind(self.model))
         if self.oracle is None:
             object.__setattr__(self, "oracle", "analytic_chain" if self.model is ModelKind.CHAIN
                                else "analytic_sk")
@@ -75,20 +77,22 @@ class ExperimentConfig:
             raise ValueError("t0 must be positive and learning_rate nonnegative")
         if self.oracle not in ORACLES:
             raise ValueError(f"unknown oracle {self.oracle!r}")
-        if self.snapshot_policy not in SNAPSHOT_POLICIES:
-            raise ValueError(f"unknown snapshot policy {self.snapshot_policy!r}")
         if self.sk_pair_convention not in spin_systems.SK_CONVENTIONS:
             raise ValueError(f"unknown pair convention {self.sk_pair_convention!r}")
-        if self.ga.genome_length != self.n:
-            raise ValueError("ga.genome_length must equal n")
-        if self.disorder.model is not self.model:
-            raise ValueError("disorder.model must match the experiment model")
         if self.oracle == "enumeration" and self.n > spin_systems.LANDSCAPE_CAP:
             raise ValueError("enumeration oracle only works for n <= 20")
         if self.oracle == "analytic_chain" and self.model is not ModelKind.CHAIN:
             raise ValueError("analytic_chain oracle requires the chain model")
         if self.oracle == "analytic_sk" and self.model is not ModelKind.SK:
             raise ValueError("analytic_sk oracle requires the SK model")
+
+    @property
+    def n(self) -> int:
+        return self.ga.genome_length
+
+    @property
+    def model(self) -> ModelKind:
+        return self.disorder.model
 
 
 @dataclass(frozen=True)
@@ -141,11 +145,7 @@ class RunSummary:
 # config serialization (flat INI, two levels)
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, ModelKind):
-        return v.value
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def serialize_config(cfg) -> str:
@@ -162,7 +162,6 @@ def serialize_config(cfg) -> str:
             "t0": _fmt(cfg.t0),
             "learning_rate": _fmt(cfg.learning_rate),
             "oracle": cfg.oracle,
-            "snapshot_policy": cfg.snapshot_policy,
             "sk_pair_convention": cfg.sk_pair_convention,
         }
         if cfg.output_dir is not None:
@@ -203,55 +202,58 @@ def serialize_config(cfg) -> str:
     return buf.getvalue()
 
 
+# the keys each config kind reads, by section, and how each value is read;
+# a key left out takes the default of the dataclass it belongs to
+_COMMON_RUN = {"kind": str, "name": str, "seed": int, "output_dir": str}
+_DISORDER = {"mean": float, "std": float}
+_SCHEMAS = {
+    "campaign": {
+        "run": {**_COMMON_RUN, "model": ModelKind, "n": int, "generations": int,
+                "replicas": int, "t0": float, "learning_rate": float, "oracle": str,
+                "sk_pair_convention": str},
+        "ga": {"population_size": int, "tournament_size": int, "crossover_rate": float,
+               "mutation_rate": float, "selection_mode": str, "boltzmann_beta": float},
+        "disorder": _DISORDER,
+    },
+    "mcmc_curve": {
+        "run": {**_COMMON_RUN, "n": int, "realizations": int,
+                "temperatures": lambda text: tuple(float(x) for x in text.split(",")),
+                "sweeps": int, "burn_in": int, "thinning": int, "chains": int},
+        "disorder": _DISORDER,
+    },
+    "oracle_suite": {"run": _COMMON_RUN},
+}
+
+
 def parse_config(text: str):
+    """The config of a file's text; a section or key its kind does not define is an error."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
-    run = parser["run"]
-    kind = run.get("kind", "campaign")
-    out = run.get("output_dir", None)
+    kind = parser.get("run", "kind", fallback="campaign")
+    if kind not in _SCHEMAS:
+        raise ValueError(f"unknown config kind {kind!r}; known: {', '.join(_SCHEMAS)}")
+    schema = _SCHEMAS[kind]
+    values = {section: {} for section in schema}   # the keys present, typed
+    for section in parser.sections():
+        if section not in schema:
+            raise ValueError(f"unknown section [{section}] in a {kind} config")
+        for key, raw in parser[section].items():
+            if key not in schema[section]:
+                raise ValueError(f"unknown key {key!r} in section [{section}] of a {kind} config")
+            values[section][key] = schema[section][key](raw)
+    run = values["run"]
+    run.pop("kind", None)
     if kind == "oracle_suite":
-        return OracleSuiteConfig(name=run["name"], seed=run.getint("seed"), output_dir=out)
+        return OracleSuiteConfig(**run)
     if kind == "mcmc_curve":
-        dis = parser["disorder"]
+        options = {key: run.pop(key) for key in ("sweeps", "burn_in", "thinning", "chains")
+                   if key in run}
         return McmcCurveConfig(
-            name=run["name"],
-            n=run.getint("n"),
-            disorder=DisorderParams(mean=dis.getfloat("mean"), std=dis.getfloat("std"),
-                                    model=ModelKind.CHAIN),
-            temperatures=tuple(float(x) for x in run["temperatures"].split(",")),
-            realizations=run.getint("realizations"),
-            options=mcmc.MCMCOptions(sweeps=run.getint("sweeps"), burn_in=run.getint("burn_in"),
-                                     thinning=run.getint("thinning"), chains=run.getint("chains")),
-            seed=run.getint("seed"),
-            output_dir=out,
-        )
-    model = ModelKind(run["model"])
-    gasec = parser["ga"]
-    dis = parser["disorder"]
-    return ExperimentConfig(
-        name=run["name"],
-        model=model,
-        n=run.getint("n"),
-        ga=ga.GAParams(
-            population_size=gasec.getint("population_size"),
-            genome_length=run.getint("n"),
-            tournament_size=gasec.getint("tournament_size"),
-            crossover_rate=gasec.getfloat("crossover_rate"),
-            mutation_rate=gasec.getfloat("mutation_rate"),
-            selection_mode=gasec.get("selection_mode"),
-            boltzmann_beta=gasec.getfloat("boltzmann_beta"),
-        ),
-        disorder=DisorderParams(mean=dis.getfloat("mean"), std=dis.getfloat("std"), model=model),
-        t0=run.getfloat("t0"),
-        learning_rate=run.getfloat("learning_rate"),
-        generations=run.getint("generations"),
-        replicas=run.getint("replicas"),
-        seed=run.getint("seed"),
-        oracle=run.get("oracle"),
-        snapshot_policy=run.get("snapshot_policy", "post_mutation"),
-        sk_pair_convention=run.get("sk_pair_convention", spin_systems.SK_PAIR_CONVENTION),
-        output_dir=out,
-    )
+            **run, options=mcmc.MCMCOptions(**options),
+            disorder=DisorderParams(**values["disorder"], model=ModelKind.CHAIN))
+    n, model = run.pop("n"), run.pop("model")
+    return ExperimentConfig(**run, ga=ga.GAParams(**values["ga"], genome_length=n),
+                            disorder=DisorderParams(**values["disorder"], model=model))
 
 
 def load_config(path):
@@ -305,23 +307,19 @@ def _build_evaluator(cfg: ExperimentConfig, disorder):
     return spin_systems.sk_evaluator(disorder)
 
 
-def _build_oracle(cfg: ExperimentConfig, disorder, replica: int) -> learner.EnergyOracle:
+def _build_oracle(cfg: ExperimentConfig, disorder) -> learner.EnergyOracle:
     if cfg.oracle == "analytic_chain":
         return learner.analytic_chain_oracle(cfg.n, cfg.disorder)
     if cfg.oracle == "analytic_sk":
         return learner.analytic_sk_oracle(cfg.n, cfg.disorder)
-    if cfg.oracle == "enumeration":
-        return learner.enumeration_oracle(disorder)
-    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, _KEY_ORACLE))
-    opts = mcmc.MCMCOptions(sweeps=400, burn_in=100, thinning=3, chains=4)
-    return learner.mcmc_oracle(disorder, opts, seed)
+    return learner.enumeration_oracle(disorder)
 
 
 def _start_replica(cfg: ExperimentConfig, replica: int):
     """Disorder, oracle, learner, generation-0 population and U(T0) of one replica."""
     disorder = _build_disorder(cfg, replica)
     model = _build_evaluator(cfg, disorder)
-    oracle = _build_oracle(cfg, disorder, replica)
+    oracle = _build_oracle(cfg, disorder)
     pop = ga.init_population(cfg.ga, model,
                              np.random.SeedSequence(entropy=cfg.seed,
                                                     spawn_key=(replica, _KEY_INIT)))
@@ -371,13 +369,12 @@ def _run_replicas(cfg: ExperimentConfig):
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ids[k], _KEY_GEN_BASE + t))
             for k in live)
         try:
-            selected, pop = ga.step_generation(pop, cfg.ga, model, seeds, return_selected=True)
+            pop = ga.step_generation(pop, cfg.ga, model, seeds)
         except Exception as exc:   # noqa: BLE001 - the batch fails as one
             failures += [(ids[k], _failure(exc)) for k in live]
             live = []
             break
-        measured = selected if cfg.snapshot_policy == "post_selection" else pop
-        u_meas = measured.energies.reshape(-1, m).mean(axis=1)
+        u_meas = pop.energies.reshape(-1, m).mean(axis=1)
         u_ga[live, t] = u_meas
         best[live, t] = pop.energies.reshape(-1, m).min(axis=1)
         kept = []
@@ -405,6 +402,14 @@ def _run_replicas(cfg: ExperimentConfig):
     return temp[live], u_ga[live], u_gibbs[live], best[live], [grounds[k] for k in live], failures
 
 
+def _fit_or_reason(fit):
+    """The fit's result, or why the data do not support it; any other error is a fault."""
+    try:
+        return fit()
+    except (DomainError, analysis.InsufficientDataError) as exc:
+        return f"unavailable ({exc})"
+
+
 def _default_fit_window(times: np.ndarray) -> tuple[float, float]:
     """Last two decades of the time axis (the asymptotic regime)."""
     t_max = float(times[-1])
@@ -429,30 +434,20 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> RunSummary:
             per_replica.append(analysis.residual_energy_series(series, g).values)
         series_name = "residual"
         s_mean, s_err = learner.disorder_averaged_trajectory(per_replica)
-        series_times = times[1:]
     else:
         grounds = None
         series_name = "fitness"
         s_mean, s_err = learner.disorder_averaged_trajectory(-u_ga[:, 1:])
-        series_times = times[1:]
 
-    fits = {}
     window = _default_fit_window(times[1:])
-    try:
-        fits["temperature"] = analysis.fit_power_law(
-            analysis.TimeSeries(times[1:], t_mean[1:]), window)
-    except (DomainError, analysis.InsufficientDataError) as exc:
-        fits["temperature"] = f"unavailable ({exc})"
-    try:
-        fits[series_name] = analysis.fit_power_law(
-            analysis.TimeSeries(series_times, s_mean), window)
-    except (DomainError, analysis.InsufficientDataError, ValueError) as exc:
-        fits[series_name] = f"unavailable ({exc})"
-    try:
-        fits["temperature_crossover"] = analysis.detect_crossover(
-            analysis.TimeSeries(times[1:], t_mean[1:]))
-    except (DomainError, analysis.InsufficientDataError) as exc:
-        fits["temperature_crossover"] = f"unavailable ({exc})"
+    fits = {
+        "temperature": _fit_or_reason(lambda: analysis.fit_power_law(
+            analysis.TimeSeries(times[1:], t_mean[1:]), window)),
+        series_name: _fit_or_reason(lambda: analysis.fit_power_law(
+            analysis.TimeSeries(times[1:], s_mean), window)),
+        "temperature_crossover": _fit_or_reason(lambda: analysis.detect_crossover(
+            analysis.TimeSeries(times[1:], t_mean[1:]))),
+    }
 
     summary = RunSummary(
         config=cfg, times=times, temperature=temp, u_ga=u_ga, u_gibbs=u_gibbs,
@@ -601,42 +596,38 @@ def oracle_check(seed: int = 424242, output_dir=None) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 # presets
 
-_CHAIN_ETA_TIMES_N = 3e-5
-_SK_ETA_TIMES_N = 2.5e-3
 _T0 = 10.0
 _GENERATIONS = 2000
 _REPLICAS = 10
 _POP = 100
 
 
-def _chain_campaign(name, variant, seed, desk, sigma=2, p_c=0.1, p_m=0.001):
-    n = 200 if desk else 2000
-    return ExperimentConfig(
-        name=f"{name}/{variant}" if variant else name,
-        model=ModelKind.CHAIN,
-        n=n,
-        ga=ga.GAParams(population_size=_POP, genome_length=n, tournament_size=sigma,
-                       crossover_rate=p_c, mutation_rate=p_m),
-        disorder=DisorderParams(0.0, 1.0, ModelKind.CHAIN),
-        t0=_T0,
-        learning_rate=_CHAIN_ETA_TIMES_N / n,
-        generations=_GENERATIONS,
-        replicas=_REPLICAS,
-        seed=seed,
-    )
+class _ModelPreset(NamedTuple):
+    n: int
+    desk_n: int
+    eta_times_n: float
+    p_c: float
+    p_m: float
 
 
-def _sk_campaign(name, variant, seed, desk, sigma=2, p_c=0.05, p_m=0.005):
-    n = 100 if desk else 500
+_MODEL_PRESETS = {
+    ModelKind.CHAIN: _ModelPreset(n=2000, desk_n=200, eta_times_n=3e-5, p_c=0.1, p_m=0.001),
+    ModelKind.SK: _ModelPreset(n=500, desk_n=100, eta_times_n=2.5e-3, p_c=0.05, p_m=0.005),
+}
+
+
+def _campaign(model, name, variant, seed, desk, sigma=2, p_c=None, p_m=None):
+    """A figure campaign: the model's preset values, with one of sigma, p_c or p_m varied."""
+    table = _MODEL_PRESETS[model]
+    n = table.desk_n if desk else table.n
     return ExperimentConfig(
         name=f"{name}/{variant}" if variant else name,
-        model=ModelKind.SK,
-        n=n,
         ga=ga.GAParams(population_size=_POP, genome_length=n, tournament_size=sigma,
-                       crossover_rate=p_c, mutation_rate=p_m),
-        disorder=DisorderParams(0.0, 1.0, ModelKind.SK),
+                       crossover_rate=table.p_c if p_c is None else p_c,
+                       mutation_rate=table.p_m if p_m is None else p_m),
+        disorder=DisorderParams(0.0, 1.0, model),
         t0=_T0,
-        learning_rate=_SK_ETA_TIMES_N / n,
+        learning_rate=table.eta_times_n / n,
         generations=_GENERATIONS,
         replicas=_REPLICAS,
         seed=seed,
@@ -660,22 +651,23 @@ def _preset_oracles(desk):
     return [("oracle-small-n", OracleSuiteConfig(name="oracle-small-n", seed=424242))]
 
 
+_CHAIN, _SK = ModelKind.CHAIN, ModelKind.SK
 _PRESET_BUILDERS = {
     "fg1": _preset_fg1,
-    "fg1D": lambda desk: [("fg1D", _chain_campaign("fg1D", "", 101, desk))],
-    "fgNo": lambda desk: [("fgNo", _chain_campaign("fgNo", "", 102, desk, sigma=1))],
-    "fgS": lambda desk: [(f"sigma{s}", _chain_campaign("fgS", f"sigma{s}", 103, desk, sigma=s))
+    "fg1D": lambda desk: [("fg1D", _campaign(_CHAIN, "fg1D", "", 101, desk))],
+    "fgNo": lambda desk: [("fgNo", _campaign(_CHAIN, "fgNo", "", 102, desk, sigma=1))],
+    "fgS": lambda desk: [(f"sigma{s}", _campaign(_CHAIN, "fgS", f"sigma{s}", 103, desk, sigma=s))
                          for s in (2, 3, 4)],
     # union of the two reported mutation grids for the chain
-    "fgM": lambda desk: [(f"pm{pm}", _chain_campaign("fgM", f"pm{pm}", 104, desk, p_m=pm))
+    "fgM": lambda desk: [(f"pm{pm}", _campaign(_CHAIN, "fgM", f"pm{pm}", 104, desk, p_m=pm))
                          for pm in (0.0001, 0.0005, 0.001, 0.005)],
-    "fgC": lambda desk: [(f"pc{pc}", _chain_campaign("fgC", f"pc{pc}", 105, desk, p_c=pc))
+    "fgC": lambda desk: [(f"pc{pc}", _campaign(_CHAIN, "fgC", f"pc{pc}", 105, desk, p_c=pc))
                          for pc in (1.0, 0.5, 0.1)],
-    "fgSSK": lambda desk: [(f"sigma{s}", _sk_campaign("fgSSK", f"sigma{s}", 106, desk, sigma=s))
+    "fgSSK": lambda desk: [(f"sigma{s}", _campaign(_SK, "fgSSK", f"sigma{s}", 106, desk, sigma=s))
                            for s in (2, 3, 4)],
-    "fgMSK": lambda desk: [(f"pm{pm}", _sk_campaign("fgMSK", f"pm{pm}", 107, desk, p_m=pm))
+    "fgMSK": lambda desk: [(f"pm{pm}", _campaign(_SK, "fgMSK", f"pm{pm}", 107, desk, p_m=pm))
                            for pm in (0.005, 0.001)],
-    "fgCSK": lambda desk: [(f"pc{pc}", _sk_campaign("fgCSK", f"pc{pc}", 108, desk, p_c=pc))
+    "fgCSK": lambda desk: [(f"pc{pc}", _campaign(_SK, "fgCSK", f"pc{pc}", 108, desk, p_c=pc))
                            for pc in (0.1, 0.05, 0.01)],
     "oracle-small-n": _preset_oracles,
 }

@@ -22,7 +22,7 @@ populations can be shared freely between workers.  Crossover and mutation
 recompute energies only for the rows they changed.  Seeds are anything
 `numpy.random.default_rng` accepts; `step_generation` additionally accepts
 a `SeedSequence` and derives one child stream per operator without
-changing it.
+changing it.  It returns the offspring, the population after mutation.
 """
 
 from __future__ import annotations
@@ -262,13 +262,8 @@ def _operator_seeds(seed) -> list[np.random.SeedSequence]:
 
 
 def step_generation(pop: Population, params: GAParams,
-                    model: EnergyEvaluator | BlockEvaluator, seed, *,
-                    return_selected: bool = False):
-    """One full generation of every block; the counter advances by exactly one.
-
-    With `return_selected`, returns (selected, offspring): the population
-    after selection as well as the next generation.
-    """
+                    model: EnergyEvaluator | BlockEvaluator, seed) -> Population:
+    """One full generation of every block; the counter advances by exactly one."""
     seeds, model = _batch(seed, model)
     s_sel, s_cross, s_mut = (BlockSeeds(c) for c in zip(*map(_operator_seeds, seeds)))
     if params.selection_mode == "tournament":
@@ -276,9 +271,8 @@ def step_generation(pop: Population, params: GAParams,
     else:
         selected = boltzmann_select(pop, params.boltzmann_beta, s_sel)
     crossed = crossover(selected, params.crossover_rate, s_cross, model)
-    offspring = replace(mutate(crossed, params.mutation_rate, s_mut, model),
-                        generation=pop.generation + 1)
-    return (selected, offspring) if return_selected else offspring
+    return replace(mutate(crossed, params.mutation_rate, s_mut, model),
+                   generation=pop.generation + 1)
 
 
 def empirical_energy(pop: Population) -> float:

@@ -13,7 +13,9 @@ whatever the energies do, and no learner may start below it.
 
 An `EnergyOracle` is nothing but the map T -> U(T); the builders below fix
 everything else, the analytic ones through `analytic`'s one quadrature
-rule and RS solver budget.
+rule and RS solver budget.  There are three: the chain's quenched average,
+the SK replica-symmetric energy and exact enumeration of one instance.  Each
+is deterministic, so the same T always gives the same U(T).
 
 Both U(T) and U_pop are total (extensive) energies.  Oracles built from
 per-spin densities multiply by the system size here, in one place; mixing a
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import analytic
 from .errors import DimensionMismatchError, DomainError, UnbracketableError
-from .mcmc import MCMCOptions, estimate_internal_energy, exact_gibbs_expectation
+from .mcmc import exact_gibbs_expectation
 from .spin_systems import ChainDisorder, DisorderParams, SKDisorder
 
 T_FLOOR = 1e-6   # the learned temperature never drops below this
@@ -147,14 +149,5 @@ def enumeration_oracle(d: ChainDisorder | SKDisorder) -> EnergyOracle:
 
     def evaluate(T: float) -> float:
         return exact_gibbs_expectation(d, T)[0]
-
-    return EnergyOracle(evaluator=evaluate)
-
-
-def mcmc_oracle(d: ChainDisorder | SKDisorder, opts: MCMCOptions, seed) -> EnergyOracle:
-    """Per-instance Metropolis estimate; the fixed seed keeps runs reproducible."""
-
-    def evaluate(T: float) -> float:
-        return estimate_internal_energy(d, T, opts, seed)[0]
 
     return EnergyOracle(evaluator=evaluate)

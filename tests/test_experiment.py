@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 
 import numpy as np
@@ -14,8 +15,6 @@ def tiny_chain_config(out, generations=5, replicas=2, name="tiny"):
     n = 30
     return experiment.ExperimentConfig(
         name=name,
-        model=tg.ModelKind.CHAIN,
-        n=n,
         ga=tg.GAParams(population_size=12, genome_length=n, tournament_size=2,
                        crossover_rate=0.2, mutation_rate=0.01),
         disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN),
@@ -58,10 +57,13 @@ class TestConfigSerialization:
             assert cfg.ga.crossover_rate == 0.1
             assert cfg.ga.mutation_rate == 0.001
 
-    def test_genome_length_must_match_n(self, tmp_path):
+    def test_n_and_model_are_read_from_ga_and_disorder(self, tmp_path):
         cfg = tiny_chain_config(tmp_path)
-        with pytest.raises(ValueError):
+        assert (cfg.n, cfg.model) == (30, tg.ModelKind.CHAIN)
+        with pytest.raises(TypeError):
             experiment.ExperimentConfig(**{**cfg.__dict__, "n": 31})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n = 31
 
     def test_unknown_oracle_rejected(self, tmp_path):
         cfg = tiny_chain_config(tmp_path)
@@ -73,7 +75,7 @@ class TestConfigSerialization:
         assert experiment.ExperimentConfig(**{**chain.__dict__, "oracle": None}) == chain
         n = 16
         sk = experiment.ExperimentConfig(
-            name="sk", model=tg.ModelKind.SK, n=n,
+            name="sk",
             ga=tg.GAParams(population_size=10, genome_length=n),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
             t0=5.0, learning_rate=1e-3, generations=4, replicas=1, seed=17)
@@ -81,6 +83,36 @@ class TestConfigSerialization:
         text = experiment.serialize_config(sk)
         assert "oracle = analytic_sk" in text
         assert experiment.parse_config(text.replace("oracle = analytic_sk\n", "")) == sk
+
+    def test_absent_optional_keys_take_dataclass_defaults(self):
+        text = ("[run]\nname = minimal\nmodel = sk\nn = 16\ngenerations = 4\nreplicas = 1\n"
+                "seed = 17\nt0 = 5.0\nlearning_rate = 0.001\n\n"
+                "[ga]\npopulation_size = 10\n\n[disorder]\nmean = 0.0\nstd = 1.0\n")
+        assert experiment.parse_config(text) == experiment.ExperimentConfig(
+            name="minimal", ga=tg.GAParams(population_size=10, genome_length=16),
+            disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
+            t0=5.0, learning_rate=1e-3, generations=4, replicas=1, seed=17)
+
+    @pytest.mark.parametrize("extra, named", [
+        ("sk_pair_convension = unordered", "sk_pair_convension"),
+        ("snapshot_policy = post_mutation", "snapshot_policy"),
+        ("[gaa]\ntournament_size = 3", "gaa"),
+    ])
+    def test_unknown_section_or_key_is_a_config_error(self, tmp_path, capsys, extra, named):
+        cfg = tiny_chain_config(tmp_path / "out")
+        text = experiment.serialize_config(cfg).replace("\n[ga]\n", f"{extra}\n\n[ga]\n")
+        assert text.count(named) == 1
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_keys_of_another_kind_are_rejected(self):
+        [(_, suite)] = experiment.preset_configs("oracle-small-n")
+        text = experiment.serialize_config(suite) + "\n[disorder]\nmean = 0.0\nstd = 1.0\n"
+        with pytest.raises(ValueError, match=r"\[disorder\] in a oracle_suite config"):
+            experiment.parse_config(text)
 
 
 class TestRunExperiment:
@@ -133,7 +165,7 @@ class TestRunExperiment:
     def test_sk_campaign_emits_fitness(self, tmp_path):
         n = 16
         cfg = experiment.ExperimentConfig(
-            name="tiny-sk", model=tg.ModelKind.SK, n=n,
+            name="tiny-sk",
             ga=tg.GAParams(population_size=10, genome_length=n, tournament_size=2,
                            crossover_rate=0.2, mutation_rate=0.02),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
@@ -145,10 +177,25 @@ class TestRunExperiment:
         assert (summary.output_dir / "fitness.tsv").exists()
         assert np.allclose(summary.series_mean, -summary.u_ga[:, 1:].mean(axis=0))
 
+    def test_unexpected_fit_error_propagates(self, tmp_path, monkeypatch):
+        # the temperature fit runs; the series fit then meets a plain ValueError,
+        # which is a fault, not data too poor to fit
+        original, calls = experiment.analysis.fit_power_law, []
+
+        def fit(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(experiment.analysis, "fit_power_law", fit)
+        with pytest.raises(ValueError, match="injected"):
+            experiment.run_experiment(tiny_chain_config(tmp_path / "fit"))
+
     def test_enumeration_oracle_campaign(self, tmp_path):
         n = 10
         cfg = experiment.ExperimentConfig(
-            name="tiny-enum", model=tg.ModelKind.CHAIN, n=n,
+            name="tiny-enum",
             ga=tg.GAParams(population_size=8, genome_length=n),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN),
             t0=2.0, learning_rate=1e-3, generations=3, replicas=1, seed=3,
@@ -162,7 +209,7 @@ class TestPairConvention:
     def enumeration_sk_config(out, conv):
         n = 10
         return experiment.ExperimentConfig(
-            name=f"sk-{conv}", model=tg.ModelKind.SK, n=n,
+            name=f"sk-{conv}",
             ga=tg.GAParams(population_size=8, genome_length=n, tournament_size=2,
                            crossover_rate=0.2, mutation_rate=0.05),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
@@ -263,7 +310,7 @@ def reference_replica(cfg, replica):
     """One replica run on its own, generation by generation."""
     disorder = experiment._build_disorder(cfg, replica)
     model = experiment._build_evaluator(cfg, disorder)
-    oracle = experiment._build_oracle(cfg, disorder, replica)
+    oracle = experiment._build_oracle(cfg, disorder)
     pop = tg.init_population(cfg.ga, model,
                              np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 1)))
     state = tg.LearnerState(temperature=cfg.t0, learning_rate=cfg.learning_rate)
@@ -282,8 +329,7 @@ def reference_replica(cfg, replica):
             selected = reference_boltzmann_select(pop, cfg.ga.boltzmann_beta, s_sel)
         crossed = reference_crossover(selected, cfg.ga.crossover_rate, s_cross, model)
         pop = reference_mutate(crossed, cfg.ga.mutation_rate, s_mut, model)
-        measured = selected if cfg.snapshot_policy == "post_selection" else pop
-        u_meas = tg.empirical_energy(measured)
+        u_meas = tg.empirical_energy(pop)
         state = tg.learner_step(state, u_meas, float(u_gibbs[t - 1]))
         temp[t] = state.temperature
         u_ga[t] = u_meas
@@ -302,24 +348,23 @@ class TestLockstepMatchesReference:
            sigma=st.sampled_from(["1", "2", "3", "M"]),
            selection=st.sampled_from(["tournament", "boltzmann"]),
            beta=st.sampled_from([0.0, 0.7, 5.0]),
-           snapshot=st.sampled_from(experiment.SNAPSHOT_POLICIES),
            p_c=st.sampled_from([0.0, 0.3, 1.0]),
            p_m=st.sampled_from([0.0, 0.05, 1.0]),
            replicas=st.integers(1, 3),
            generations=st.integers(1, 6),
            seed=st.integers(0, 2**32 - 1))
     def test_arrays_equal_per_replica_reference(self, model, n, pairs, sigma, selection, beta,
-                                                snapshot, p_c, p_m, replicas, generations, seed):
+                                                p_c, p_m, replicas, generations, seed):
         m = 2 * pairs
         k = m if sigma == "M" else min(int(sigma), m)
         cfg = experiment.ExperimentConfig(
-            name="lockstep", model=model, n=n,
+            name="lockstep",
             ga=tg.GAParams(population_size=m, genome_length=n, tournament_size=k,
                            crossover_rate=p_c, mutation_rate=p_m, selection_mode=selection,
                            boltzmann_beta=beta),
             disorder=tg.DisorderParams(0.0, 1.0, model),
             t0=2.0, learning_rate=1e-2, generations=generations, replicas=replicas,
-            seed=seed, oracle="enumeration", snapshot_policy=snapshot)
+            seed=seed, oracle="enumeration")
         with tempfile.TemporaryDirectory() as out:
             summary = experiment.run_experiment(cfg, output_dir=out)
         assert summary.replica_failures == []
@@ -343,8 +388,12 @@ class TestOracleCalls:
         calls = []
         original = experiment._build_oracle
 
-        def counting(cfg, disorder, replica):
-            oracle = original(cfg, disorder, replica)
+        built = []
+
+        def counting(cfg, disorder):
+            # replicas are built in index order
+            oracle, replica = original(cfg, disorder), len(built)
+            built.append(replica)
             return tg.EnergyOracle(
                 evaluator=lambda T: calls.append(replica) or oracle.energy(T))
 
@@ -357,11 +406,13 @@ class TestOracleCalls:
 
 class TestReplicaFailures:
     def test_failing_replica_recorded_others_finish(self, tmp_path, monkeypatch):
-        original = experiment._build_oracle
+        original, built = experiment._build_oracle, []
 
-        def build(cfg, disorder, replica):
+        def build(cfg, disorder):
+            replica = len(built)   # replicas are built in index order
+            built.append(replica)
             if replica != 1:
-                return original(cfg, disorder, replica)
+                return original(cfg, disorder)
 
             def fail(T):
                 raise ConvergenceError("RS fixed point did not converge", residual=1.0)
@@ -385,7 +436,7 @@ class TestReplicaFailures:
         monkeypatch.setattr(analytic, "_RS_MAX_ITERATIONS", 1)
         n = 16
         cfg = experiment.ExperimentConfig(
-            name="sk-fail", model=tg.ModelKind.SK, n=n,
+            name="sk-fail",
             ga=tg.GAParams(population_size=10, genome_length=n),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
             t0=0.8, learning_rate=1e-3, generations=3, replicas=2, seed=17,
@@ -402,10 +453,11 @@ class TestMidRunFailures:
 
     @staticmethod
     def run_failing(out, calls_before_failure):
-        original = experiment._build_oracle
+        original, built = experiment._build_oracle, []
 
-        def build(cfg, disorder, replica):
-            oracle = original(cfg, disorder, replica)
+        def build(cfg, disorder):
+            oracle, replica = original(cfg, disorder), len(built)   # built in index order
+            built.append(replica)
             if replica not in calls_before_failure:
                 return oracle
             calls = {"n": 0}

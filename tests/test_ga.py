@@ -379,18 +379,13 @@ class TestBlocks:
                               energies=np.concatenate([p.energies for p in alone]), generation=0)
         model = tg.replica_evaluator(disorders)
         for t in range(3):
-            selected, batch = tg.step_generation(
+            batch = tg.step_generation(
                 batch, params, model,
                 BlockSeeds(np.random.SeedSequence(entropy=seed, spawn_key=(r, t))
-                           for r in range(blocks)),
-                return_selected=True)
-            picked = [tg.step_generation(p, params, mod,
-                                         np.random.SeedSequence(entropy=seed, spawn_key=(r, t)),
-                                         return_selected=True)
-                      for r, (p, mod) in enumerate(zip(alone, models))]
-            alone = [after for _, after in picked]
-            assert np.array_equal(selected.energies,
-                                  np.concatenate([sel.energies for sel, _ in picked]))
+                           for r in range(blocks)))
+            alone = [tg.step_generation(p, params, mod,
+                                        np.random.SeedSequence(entropy=seed, spawn_key=(r, t)))
+                     for r, (p, mod) in enumerate(zip(alone, models))]
             assert np.array_equal(batch.members, np.concatenate([p.members for p in alone]))
             assert np.array_equal(batch.energies, np.concatenate([p.energies for p in alone]))
             assert batch.generation == t + 1

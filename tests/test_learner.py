@@ -140,9 +140,3 @@ class TestOracleFactories:
         assert oracle.energy(1.8) == pytest.approx(
             100 * tg.sk_internal_energy_density(1.8, SK_01, tg.sk_rs_fixed_point(1.8, SK_01)),
             abs=1e-9)
-
-    def test_mcmc_oracle_deterministic(self):
-        d = tg.sample_chain_disorder(30, CHAIN_01, 6)
-        opts = tg.MCMCOptions(sweeps=200, burn_in=50, thinning=2, chains=2)
-        oracle = tg.mcmc_oracle(d, opts, 7)
-        assert oracle.energy(1.0) == oracle.energy(1.0)
