@@ -2,15 +2,18 @@
 
 A campaign runs R independent replicas.  Each replica draws its own
 disorder, initializes its own population and learner, and evolves for the
-configured number of generations; every random stream is derived from the
-base seed and the replica index, so a campaign is a pure function of its
-config and every output byte is reproducible.  The replicas advance in
-lockstep: their populations are the row blocks of one array, and one call
-of the generation kernel advances them all, while each keeps its own
-streams, learner and oracle.  A replica's output therefore does not depend
-on R.  The learner of each replica is fitted, once per generation, to the
-mean energy of the offspring.  Replicas that fail, at set-up or mid-run,
-are recorded and dropped; the disorder average is taken over the survivors.
+configured number of generations.  Its random streams are derived from
+the base seed and the replica index: one for its disorder, one for its
+initial population, and one generator, built once per run, from which every
+generation draws selection, crossover and mutation in that order.  So a
+campaign is a pure function of its config and every output byte is
+reproducible.  The replicas advance in lockstep: their populations are the
+row blocks of one array, and one call of the generation kernel advances
+them all, while each keeps its own streams, learner and oracle.  A
+replica's output therefore does not depend on R.  The learner of each
+replica is fitted, once per generation, to the mean energy of the
+offspring.  Replicas that fail, at set-up or mid-run, are recorded and
+dropped; the disorder average is taken over the survivors.
 
 A campaign config states each setting once: its system size `n` and its
 `model` are read from `ga.genome_length` and `disorder.model`.  Config
@@ -47,8 +50,9 @@ from .spin_systems import DisorderParams, ModelKind
 ENV_OUTPUT_DIR = "THERMOGA_OUTPUT_DIR"
 ORACLES = ("analytic_chain", "analytic_sk", "enumeration")
 
-# spawn-key slots per replica; 2 stays free so generation t's stream keeps slot 3 + t
-_KEY_DISORDER, _KEY_INIT, _KEY_GEN_BASE = 0, 1, 3
+# spawn-key slots per replica: disorder, initial population, and the one generator
+# that every generation's selection, crossover and mutation draw from; 2 is unused
+_KEY_DISORDER, _KEY_INIT, _KEY_GA = 0, 1, 3
 
 
 @dataclass(frozen=True)
@@ -316,7 +320,7 @@ def _build_oracle(cfg: ExperimentConfig, disorder) -> learner.EnergyOracle:
 
 
 def _start_replica(cfg: ExperimentConfig, replica: int):
-    """Disorder, oracle, learner, generation-0 population and U(T0) of one replica."""
+    """Disorder, oracle, learner, generation-0 population, U(T0) and GA generator of one replica."""
     disorder = _build_disorder(cfg, replica)
     model = _build_evaluator(cfg, disorder)
     oracle = _build_oracle(cfg, disorder)
@@ -326,7 +330,9 @@ def _start_replica(cfg: ExperimentConfig, replica: int):
     state = learner.LearnerState(temperature=cfg.t0, learning_rate=cfg.learning_rate)
     u_gibbs = oracle.energy(state.temperature)
     ground = spin_systems.chain_ground_state(disorder)[0] if cfg.model is ModelKind.CHAIN else None
-    return disorder, oracle, state, pop, u_gibbs, ground
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
+                                                       spawn_key=(replica, _KEY_GA)))
+    return disorder, oracle, state, pop, u_gibbs, ground, rng
 
 
 def _failure(exc: Exception) -> str:
@@ -336,11 +342,13 @@ def _failure(exc: Exception) -> str:
 def _run_replicas(cfg: ExperimentConfig):
     """Advance every replica in lockstep, one batched generation at a time.
 
-    Replica r's members are row block r of one population; each generation
-    draws from the replica's own `SeedSequence(seed, (r, 3 + t))`, so its
-    trajectory does not depend on the other replicas.  The learner step and
-    the oracle stay per replica.  A replica that raises, at set-up or at any
-    later generation, is recorded and dropped from the batch, and the rest
+    Replica r's members are row block r of one population.  Its one
+    generator, `default_rng(SeedSequence(seed, (r, 3)))`, is built once for
+    the run, and every generation draws selection, crossover and mutation
+    from it in that order, so the replica's trajectory does not depend on
+    the other replicas.  The learner step and the oracle stay per replica.
+    A replica that raises, at set-up or at any later generation, is
+    recorded and dropped from the batch, with its generator, and the rest
     run on.
     """
     started, failures = [], []
@@ -351,7 +359,7 @@ def _run_replicas(cfg: ExperimentConfig):
             failures.append((r, _failure(exc)))
     if not started:
         raise RuntimeError(f"all {cfg.replicas} replicas failed: {failures}")
-    ids, disorders, oracles, states, pops, u_gibbs_0, grounds = map(list, zip(*started))
+    ids, disorders, oracles, states, pops, u_gibbs_0, grounds, rngs = map(list, zip(*started))
 
     m, rows = cfg.ga.population_size, cfg.generations + 1
     temp, u_ga, u_gibbs, best = (np.empty((len(ids), rows)) for _ in range(4))
@@ -365,11 +373,8 @@ def _run_replicas(cfg: ExperimentConfig):
                         energies=np.concatenate([p.energies for p in pops]), generation=0)
     model = spin_systems.replica_evaluator(disorders)
     for t in range(1, rows):
-        seeds = ga.BlockSeeds(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ids[k], _KEY_GEN_BASE + t))
-            for k in live)
         try:
-            pop = ga.step_generation(pop, cfg.ga, model, seeds)
+            pop = ga.step_generation(pop, cfg.ga, model, ga.BlockSeeds(rngs[k] for k in live))
         except Exception as exc:   # noqa: BLE001 - the batch fails as one
             failures += [(ids[k], _failure(exc)) for k in live]
             live = []

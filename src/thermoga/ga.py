@@ -2,9 +2,13 @@
 
 One generation is selection -> single-point crossover -> per-site mutation.
 Fitness is the negative energy, so tournament selection keeps the
-minimum-energy member of each draw.  Tournament draws are without
-replacement: the size-1 tournament is uniform resampling and the size-M
-tournament deterministically copies the population's best member.
+minimum-energy member of each draw.  A tournament draws a uniformly random
+ordered tuple of distinct members and an energy tie goes to the candidate
+drawn first, so tied members win equally often: the size-1 tournament is
+uniform resampling and the size-M tournament copies a best member.
+Mutation flips each site independently with probability p_m; it draws how
+many sites of a block flip, Binomial(M*N, p_m), and then which, so its cost
+grows with the flips rather than with the sites.
 
 A population may hold R independent replicas at once: replica r owns row
 block r of one (R*M, N) spin array and block r of its energies, and each
@@ -20,9 +24,12 @@ Every operator is a pure function of (population, parameters, seeds) and
 returns a new immutable Population with freshly cached energies, so
 populations can be shared freely between workers.  Crossover and mutation
 recompute energies only for the rows they changed.  Seeds are anything
-`numpy.random.default_rng` accepts; `step_generation` additionally accepts
-a `SeedSequence` and derives one child stream per operator without
-changing it.  It returns the offspring, the population after mutation.
+`numpy.random.default_rng` accepts; a `Generator` is drawn from and so
+advanced.  `step_generation` makes one generator per block (a `Generator`
+is used as it is) and draws selection, crossover and mutation from it in
+that order, so an int or `SeedSequence` gives the same offspring every call
+and a `SeedSequence` is not spawned.  It returns the offspring, the
+population after mutation.
 """
 
 from __future__ import annotations
@@ -100,7 +107,10 @@ def init_population(params: GAParams, model: EnergyEvaluator, seed) -> Populatio
 
 
 class BlockSeeds(tuple):
-    """One seed per replica block of a population: block r draws from seed r."""
+    """One seed per replica block of a population: block r draws from seed r.
+
+    A seed may be a `Generator`, which the block's draws then advance.
+    """
 
 
 def _batch(seed, model=None) -> tuple[BlockSeeds, BlockEvaluator | None]:
@@ -116,40 +126,40 @@ def _block_size(pop: Population, seeds: BlockSeeds) -> int:
     return pop.size // len(seeds)
 
 
-def smallest_keys(keys: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k smallest keys of each row, in ascending key order.
+def _distinct_picks(draws: np.ndarray) -> np.ndarray:
+    """Ordered tuples of distinct indices from raw draws, column c uniform on [0, m - c).
 
-    k masked argmins; `keys` is overwritten.  The candidate set is that of
-    `np.argpartition(keys, k - 1)[:, :k]`, and for k <= 2 so is the order.
+    Column c's draw x becomes the x-th index (from 0) that the row's c
+    earlier picks left free: x plus the number of earlier picks p_j, sorted
+    and numbered from j = 0, with p_j - j <= x.  Each tuple comes from
+    exactly one row of raw draws, so uniform draws give a uniformly random
+    ordered tuple.
     """
-    rows = np.arange(keys.shape[0])
-    picks = np.empty((keys.shape[0], k), dtype=np.intp)
-    for j in range(k):
-        picks[:, j] = pick = keys.argmin(axis=1)
-        keys[rows, pick] = np.inf
+    picks = draws.copy()
+    for c in range(1, draws.shape[1]):
+        below = np.sort(picks[:, :c], axis=1) - np.arange(c)
+        picks[:, c] += np.count_nonzero(below <= draws[:, c, None], axis=1)
     return picks
 
 
 def tournament_select(pop: Population, params: GAParams, seed) -> Population:
     """Each output slot holds the best of `tournament_size` distinct members of its block.
 
-    A slot's candidates are the k smallest of M uniform keys, found by k
-    masked argmins in ascending key order; an energy tie goes to the
-    candidate with the smaller key.
+    A slot's candidates are a uniformly random ordered tuple of distinct
+    members: column c draws `integers(0, m - c)` for every slot of a block
+    and skips the earlier picks.  An energy tie goes to the candidate drawn
+    first.
     """
     seeds, _ = _batch(seed)
     m, k = _block_size(pop, seeds), params.tournament_size
+    draws = np.empty((pop.size, k), dtype=np.intp)
+    for r, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        for c in range(k):
+            draws[r * m:(r + 1) * m, c] = rng.integers(0, m - c, size=m)
     slots = np.arange(pop.size)
-    offsets = slots - slots % m
-    if k == 1:
-        winners = np.concatenate([np.random.default_rng(s).integers(0, m, size=m)
-                                  for s in seeds]) + offsets
-    else:
-        keys = np.empty((pop.size, m))
-        for r, s in enumerate(seeds):
-            np.random.default_rng(s).random(out=keys[r * m:(r + 1) * m])
-        candidates = smallest_keys(keys, k) + offsets[:, None]
-        winners = candidates[slots, np.argmin(pop.energies[candidates], axis=1)]
+    candidates = _distinct_picks(draws) + (slots - slots % m)[:, None]
+    winners = candidates[slots, np.argmin(pop.energies[candidates], axis=1)]
     return Population(members=pop.members[winners], energies=pop.energies[winners],
                       generation=pop.generation)
 
@@ -221,19 +231,24 @@ def crossover(pop: Population, p_c: float, seed,
 
 def mutate(pop: Population, p_m: float, seed,
            model: EnergyEvaluator | BlockEvaluator) -> Population:
-    """Flip every site independently with probability p_m; re-cache energies."""
+    """Flip every site independently with probability p_m; re-cache energies.
+
+    Each block draws its flip count K ~ Binomial(M*N, p_m), then K distinct
+    sites uniformly: the law of one Bernoulli(p_m) per site, in O(K) draws.
+    """
     if p_m == 0.0:
         return pop
     seeds, model = _batch(seed, model)
-    m = _block_size(pop, seeds)
-    uniforms = np.empty(pop.members.shape)
-    for r, s in enumerate(seeds):
-        np.random.default_rng(s).random(out=uniforms[r * m:(r + 1) * m])
-    flips = uniforms < p_m
-    rows = np.flatnonzero(flips.any(axis=1))
+    m, n = _block_size(pop, seeds), pop.members.shape[1]
+    block_sites = m * n
+    sites = np.concatenate([
+        rng.choice(block_sites, rng.binomial(block_sites, p_m), replace=False, shuffle=False)
+        + r * block_sites
+        for r, rng in enumerate(map(np.random.default_rng, seeds))])
     members = pop.members.copy()
-    members[rows] = np.where(flips[rows], -members[rows], members[rows])
-    return _recached(pop, members, rows, model, m)
+    flat = members.reshape(-1)
+    flat[sites] = -flat[sites]
+    return _recached(pop, members, np.unique(sites // n), model, m)
 
 
 def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,
@@ -249,29 +264,21 @@ def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,
     return Population(members=members, energies=energies, generation=pop.generation)
 
 
-def _operator_seeds(seed) -> list[np.random.SeedSequence]:
-    """Selection, crossover and mutation streams of one block.
-
-    They are the children `spawn(3)` makes of a fresh `SeedSequence(seed)`,
-    derived without spawning, so a `SeedSequence` passed in is left as it
-    was and the same one gives the same offspring every time.
-    """
-    s = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.SeedSequence(s.entropy, spawn_key=s.spawn_key + (i,), pool_size=s.pool_size)
-            for i in range(3)]
-
-
 def step_generation(pop: Population, params: GAParams,
                     model: EnergyEvaluator | BlockEvaluator, seed) -> Population:
-    """One full generation of every block; the counter advances by exactly one."""
+    """One full generation of every block; the counter advances by exactly one.
+
+    Block r's selection, crossover and mutation draw, in that order, from the
+    one generator `default_rng(seed_r)`.
+    """
     seeds, model = _batch(seed, model)
-    s_sel, s_cross, s_mut = (BlockSeeds(c) for c in zip(*map(_operator_seeds, seeds)))
+    rngs = BlockSeeds(map(np.random.default_rng, seeds))
     if params.selection_mode == "tournament":
-        selected = tournament_select(pop, params, s_sel)
+        selected = tournament_select(pop, params, rngs)
     else:
-        selected = boltzmann_select(pop, params.boltzmann_beta, s_sel)
-    crossed = crossover(selected, params.crossover_rate, s_cross, model)
-    return replace(mutate(crossed, params.mutation_rate, s_mut, model),
+        selected = boltzmann_select(pop, params.boltzmann_beta, rngs)
+    crossed = crossover(selected, params.crossover_rate, rngs, model)
+    return replace(mutate(crossed, params.mutation_rate, rngs, model),
                    generation=pop.generation + 1)
 
 

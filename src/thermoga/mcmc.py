@@ -62,12 +62,40 @@ def sk_flip_costs(s: np.ndarray, d: SKDisorder) -> np.ndarray:
     return 4.0 * d.energy_scale * s * (d.couplings @ s)
 
 
-def _chain_sweep(s: np.ndarray, d: ChainDisorder, T: float, u: np.ndarray) -> None:
-    """Two half-sweeps of every walker; s and u are (walkers, N)."""
+def _chain_halves(padded: np.ndarray, d: ChainDisorder) -> list[tuple[np.ndarray, ...]]:
+    """Views for the two half-sweeps of a zero-padded (walkers, N + 2) chain state.
+
+    Site i sits in column i + 1.  Per parity: the sublattice, its left
+    neighbours and their bonds, its right neighbours and their bonds.  The
+    pad columns and pad bonds are 0, so an end site's missing neighbour adds
+    exactly 0.0, as in `chain_flip_costs`.
+    """
+    n = padded.shape[1] - 2
+    bonds = np.concatenate(([0.0], d.bonds, [0.0]))   # bonds[i] couples sites i - 1 and i
+    halves = []
     for parity in (0, 1):
-        costs = chain_flip_costs(s, d)[:, parity::2]
-        sub = s[:, parity::2]
-        np.negative(sub, out=sub, where=u[:, parity::2] < np.exp(-np.maximum(costs, 0.0) / T))
+        stop = parity + 2 * len(range(parity, n, 2))
+        halves.append((padded[:, parity + 1:stop + 1:2],
+                       padded[:, parity:stop:2], bonds[parity:stop:2],
+                       padded[:, parity + 2:stop + 2:2], bonds[parity + 1:stop + 1:2]))
+    return halves
+
+
+def _chain_sweep(halves, T: float, u: np.ndarray) -> None:
+    """Two half-sweeps of every walker; u is (walkers, N).
+
+    A half-sweep computes the flip costs of its own sublattice only, with the
+    additions and products of `chain_flip_costs` in the same order, so every
+    cost, and so every accept decision, is bit for bit that of the whole row.
+    """
+    for parity, (sub, left, j_left, right, j_right) in enumerate(halves):
+        p = j_left * left
+        p += j_right * right
+        p *= -2.0 * sub                   # minus the flip cost
+        np.minimum(p, 0.0, out=p)         # exp(min(-dH, 0) / T) = exp(-max(dH, 0) / T)
+        p /= T
+        np.exp(p, out=p)
+        np.negative(sub, out=sub, where=u[:, parity::2] < p)
 
 
 def _sk_sweep(s, h, d: SKDisorder, scale: float, T: float, u: np.ndarray) -> None:
@@ -94,22 +122,25 @@ def _walk(s: np.ndarray, d, T: float, rngs, sweeps: int,
         h = np.stack([d.couplings @ row for row in s.astype(np.float64)], axis=1)
         scale, rows = 4.0 * d.energy_scale, state.T   # dH of a flip = scale * s_k * h_k
     else:
-        state = rows = s.astype(np.float64)
+        padded = np.zeros((walkers, n + 2))
+        rows = padded[:, 1:-1]
+        rows[...] = s
+        halves = _chain_halves(padded, d)
     block = max(1, _UNIFORM_DOUBLES // (walkers * n))
     u = np.empty((walkers, min(block, sweeps), n))
     totals = np.zeros(walkers)
-    for start in range(0, sweeps, block):
-        size = min(block, sweeps - start)
-        for w, rng in enumerate(rngs):
-            rng.random(out=u[w, :size])
-        for t in range(size):
-            with np.errstate(under="ignore"):   # an acceptance underflowing to 0 is exact
+    with np.errstate(under="ignore"):   # an acceptance underflowing to 0 is exact
+        for start in range(0, sweeps, block):
+            size = min(block, sweeps - start)
+            for w, rng in enumerate(rngs):
+                rng.random(out=u[w, :size])
+            for t in range(size):
                 if sk:
                     _sk_sweep(state, h, d, scale, T, u[:, t])
                 else:
-                    _chain_sweep(state, d, T, u[:, t])
-            if start + t in samples:
-                totals += sk_energies(rows, d) if sk else chain_energies(rows, d)
+                    _chain_sweep(halves, T, u[:, t])
+                if start + t in samples:
+                    totals += sk_energies(rows, d) if sk else chain_energies(rows, d)
     s[...] = rows
     return totals / len(samples) if samples else None
 

@@ -242,27 +242,26 @@ class TestPairConvention:
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-replica campaign loop the lockstep kernel replaced
+# reference: one replica run on its own with plain loops, every generation drawing
+# from the replica's one generator
 
-def reference_tournament_select(pop, params, seed):
-    rng = np.random.default_rng(seed)
+def reference_tournament_select(pop, params, rng):
     m, k = pop.size, params.tournament_size
-    if k == 1:
-        winners = rng.integers(0, m, size=m)
-    else:
-        keys = rng.random((m, m))
-        draws = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        # Candidates in ascending key order, so an energy tie goes to the
-        # smaller key.  numpy orders argpartition's first k - 1 slots only for
-        # k <= 2 (slot 0 holds the minimum), so this is a no-op there.
-        draws = np.take_along_axis(draws, np.argsort(np.take_along_axis(keys, draws, 1)), 1)
-        winners = draws[np.arange(m), np.argmin(pop.energies[draws], axis=1)]
+    draws = [rng.integers(0, m - c, size=m) for c in range(k)]   # column c, every slot
+    winners = []
+    for raw in zip(*draws):
+        picks = []
+        for x in raw:
+            for p in sorted(picks):   # skip the earlier picks, in ascending order
+                x += x >= p
+            picks.append(int(x))
+        best = min(pop.energies[picks])
+        winners.append(next(p for p in picks if pop.energies[p] == best))   # first drawn
     return tg.Population(members=pop.members[winners], energies=pop.energies[winners],
                          generation=pop.generation)
 
 
-def reference_boltzmann_select(pop, beta_s, seed):
-    rng = np.random.default_rng(seed)
+def reference_boltzmann_select(pop, beta_s, rng):
     idx = rng.choice(pop.size, size=pop.size, replace=True,
                      p=tg.boltzmann_weights(pop.energies, beta_s))
     return tg.Population(members=pop.members[idx], energies=pop.energies[idx],
@@ -277,8 +276,7 @@ def _reference_recached(pop, members, rows, model):
     return tg.Population(members=members, energies=energies, generation=pop.generation)
 
 
-def reference_crossover(pop, p_c, seed, model):
-    rng = np.random.default_rng(seed)
+def reference_crossover(pop, p_c, rng, model):
     m, n = pop.members.shape
     order = rng.permutation(m)
     do_cross = rng.random(m // 2) < p_c
@@ -297,11 +295,13 @@ def reference_crossover(pop, p_c, seed, model):
     return _reference_recached(pop, members, changed, model)
 
 
-def reference_mutate(pop, p_m, seed, model):
+def reference_mutate(pop, p_m, rng, model):
     if p_m == 0.0:
         return pop
-    rng = np.random.default_rng(seed)
-    flips = rng.random(pop.members.shape) < p_m
+    sites = pop.members.size
+    flips = np.zeros(sites, dtype=bool)
+    flips[rng.choice(sites, rng.binomial(sites, p_m), replace=False, shuffle=False)] = True
+    flips = flips.reshape(pop.members.shape)
     members = np.where(flips, -pop.members, pop.members).astype(np.int8)
     return _reference_recached(pop, members, np.flatnonzero(flips.any(axis=1)), model)
 
@@ -320,15 +320,14 @@ def reference_replica(cfg, replica):
     u_ga[0] = tg.empirical_energy(pop)
     u_gibbs[0] = oracle.energy(state.temperature)
     best[0] = float(pop.energies.min())
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 3)))
     for t in range(1, rows):
-        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 3 + t))
-        s_sel, s_cross, s_mut = ss.spawn(3)
         if cfg.ga.selection_mode == "tournament":
-            selected = reference_tournament_select(pop, cfg.ga, s_sel)
+            selected = reference_tournament_select(pop, cfg.ga, rng)
         else:
-            selected = reference_boltzmann_select(pop, cfg.ga.boltzmann_beta, s_sel)
-        crossed = reference_crossover(selected, cfg.ga.crossover_rate, s_cross, model)
-        pop = reference_mutate(crossed, cfg.ga.mutation_rate, s_mut, model)
+            selected = reference_boltzmann_select(pop, cfg.ga.boltzmann_beta, rng)
+        crossed = reference_crossover(selected, cfg.ga.crossover_rate, rng, model)
+        pop = reference_mutate(crossed, cfg.ga.mutation_rate, rng, model)
         u_meas = tg.empirical_energy(pop)
         state = tg.learner_step(state, u_meas, float(u_gibbs[t - 1]))
         temp[t] = state.temperature

@@ -1,11 +1,16 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import binom, binomtest, chi2, chisquare, ks_2samp
 
 import thermoga as tg
-from thermoga.ga import BlockSeeds, cross_pair, smallest_keys
+from thermoga.ga import BlockSeeds, _distinct_picks, cross_pair
+
+FALSE_ALARM = 1e-6   # p-value below which a law test fails
 
 CHAIN = tg.ModelKind.CHAIN
 
@@ -91,15 +96,16 @@ class TestTournament:
             wins += tg.empirical_energy(out) <= tg.empirical_energy(pop)
         assert wins == 100
 
-    @pytest.mark.parametrize("k", [2, 3, 7, 12])
-    def test_energy_tie_goes_to_smaller_key(self, k):
-        # distinct genomes, equal energies: each slot keeps its smallest-key candidate
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+    def test_energy_tie_goes_to_first_drawn(self, k):
+        # distinct genomes, equal energies: each slot keeps its first candidate,
+        # which column 0 draws as integers(0, M) for every slot
         members = np.eye(12, dtype=np.int8) * 2 - 1
         pop = tg.Population(members=members, energies=np.zeros(12), generation=0)
         out = tg.tournament_select(pop, make_params(population_size=12, genome_length=12,
                                                     tournament_size=k), 5)
-        keys = np.random.default_rng(5).random((12, 12))
-        assert np.array_equal(out.members, members[keys.argmin(axis=1)])
+        first = np.random.default_rng(5).integers(0, 12, size=12)
+        assert np.array_equal(out.members, members[first])
 
     def test_generation_unchanged(self, chain_setup):
         _, model = chain_setup
@@ -274,21 +280,36 @@ class TestStepGeneration:
         b = tg.step_generation(pop, make_params(), model, 24)
         assert np.array_equal(a.members, b.members)
 
-    def test_seed_sequence_reused_gives_same_offspring(self, chain_setup):
+    @pytest.mark.parametrize("make_seed", [lambda: 28,
+                                           lambda: np.random.SeedSequence(28, spawn_key=(3, 4))],
+                             ids=["int", "seed_sequence"])
+    def test_int_or_seed_sequence_gives_same_offspring(self, chain_setup, make_seed):
         _, model = chain_setup
         params = make_params(crossover_rate=0.5, mutation_rate=0.05)
         pop = tg.init_population(params, model, 27)
-        ss = np.random.SeedSequence(entropy=28, spawn_key=(3, 4))
-        a = tg.step_generation(pop, params, model, ss)
-        b = tg.step_generation(pop, params, model, ss)
+        seed = make_seed()
+        a = tg.step_generation(pop, params, model, seed)
+        b = tg.step_generation(pop, params, model, seed)
         assert np.array_equal(a.members, b.members)
-        assert ss.n_children_spawned == 0
-        # the operator streams are the children spawn(3) makes of a fresh copy
-        s_sel, s_cross, s_mut = np.random.SeedSequence(entropy=28, spawn_key=(3, 4)).spawn(3)
-        ref = tg.mutate(tg.crossover(tg.tournament_select(pop, params, s_sel), 0.5, s_cross,
-                                     model), 0.05, s_mut, model)
+        if isinstance(seed, np.random.SeedSequence):
+            assert seed.n_children_spawned == 0
+        # one fresh generator, drawn from by selection, crossover and mutation in turn
+        rng = np.random.default_rng(make_seed())
+        ref = tg.mutate(tg.crossover(tg.tournament_select(pop, params, rng), 0.5, rng, model),
+                        0.05, rng, model)
         assert np.array_equal(a.members, ref.members)
         assert np.array_equal(a.energies, ref.energies)
+
+    def test_generator_is_advanced(self, chain_setup):
+        _, model = chain_setup
+        params = make_params(crossover_rate=0.5, mutation_rate=0.05)
+        pop = tg.init_population(params, model, 27)
+        rng = np.random.default_rng(28)
+        state = rng.bit_generator.state
+        a = tg.step_generation(pop, params, model, rng)
+        assert rng.bit_generator.state != state
+        b = tg.step_generation(pop, params, model, rng)
+        assert not np.array_equal(a.members, b.members)
 
     def test_collapse_to_best_under_pure_elitist_selection(self, chain_setup):
         _, model = chain_setup
@@ -328,31 +349,155 @@ class TestStepGeneration:
         assert np.all(track[4][1:15] <= track[2][1:15])
 
 
-class TestSmallestKeys:
-    @settings(max_examples=80, deadline=None)
-    @given(rows=st.integers(1, 6), m=st.integers(1, 30), data=st.data(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_candidate_set_of_argpartition(self, rows, m, data, seed):
-        k = data.draw(st.integers(1, m))
-        keys = np.random.default_rng(seed).random((rows, m))
-        want = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        got = smallest_keys(keys.copy(), k)
-        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
-        assert np.all(np.diff(np.take_along_axis(keys, got, 1), axis=1) > 0)
-        if k <= 2:
-            assert np.array_equal(got, want)
+def _blocks(m, n, blocks, energies=None):
+    """`blocks` copies of an M-member block: members +1, energies tiled (default 0)."""
+    e = np.zeros(m) if energies is None else np.asarray(energies, dtype=np.float64)
+    return tg.Population(members=np.ones((blocks * m, n), dtype=np.int8),
+                         energies=np.tile(e, blocks), generation=0)
 
 
-def test_direct_children_draw_like_spawned_children():
-    # SeedSequence(entropy, (r, 3 + t, i)) in a bare PCG64 is child i of spawn(3)
-    for entropy, r, t in [(0, 0, 1), (101, 3, 1500), (2**40 + 7, 9, 2000)]:
-        spawned = np.random.SeedSequence(entropy=entropy, spawn_key=(r, 3 + t)).spawn(3)
-        for i, child in enumerate(spawned):
-            direct = np.random.SeedSequence(entropy=entropy, spawn_key=(r, 3 + t, i))
-            a, b = np.random.default_rng(child), np.random.Generator(np.random.PCG64(direct))
-            assert np.array_equal(a.random(50), b.random(50))
-            assert np.array_equal(a.permutation(20), b.permutation(20))
-            assert np.array_equal(a.integers(1, 40, size=10), b.integers(1, 40, size=10))
+def _no_energy(members, blocks):
+    return np.zeros(members.shape[0])
+
+
+def _pooled_chisquare(observed, expected, min_expected=50.0):
+    """Chi-square p-value after merging neighbouring cells until each expects >= min_expected."""
+    obs, exp, o, e = [], [], 0.0, 0.0
+    for oi, ei in zip(observed, expected):
+        o, e = o + oi, e + ei
+        if e >= min_expected:
+            obs.append(o), exp.append(e)
+            o, e = 0.0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return chisquare(obs, exp).pvalue
+
+
+class TestDistinctPicks:
+    """Raw draws map one to one onto ordered tuples of distinct indices (exhaustive, exact)."""
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 2), (5, 1), (5, 2), (5, 3), (5, 5), (7, 4)])
+    def test_raw_draws_biject_onto_ordered_tuples(self, m, k):
+        draws = np.array(list(itertools.product(*(range(m - c) for c in range(k)))),
+                         dtype=np.intp).reshape(-1, k)
+        picks = _distinct_picks(draws)
+        tuples = {tuple(row) for row in picks.tolist()}
+        assert tuples == set(itertools.permutations(range(m), k))
+        assert len(tuples) == len(draws)
+
+    def test_equals_shifting_past_earlier_picks_in_ascending_order(self):
+        draws = np.array(list(itertools.product(range(6), range(5), range(4))), dtype=np.intp)
+        for raw, got in zip(draws.tolist(), _distinct_picks(draws).tolist()):
+            picks = []
+            for x in raw:
+                for p in sorted(picks):
+                    x += x >= p
+                picks.append(x)
+            assert got == picks
+
+
+class TestTournamentLaw:
+    """The exact law of tournament winners, from many independent blocks of one generator.
+
+    Each statistical test fails with probability 1e-6 under the exact law
+    (chi-square or exact binomial p-value below FALSE_ALARM; every pooled
+    chi-square cell expects at least 50 counts).
+    """
+
+    M, BLOCKS = 10, 2000
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_winner_rank_law(self, k):
+        # energies distinct, rank r = 1 the best: P(r) = C(M - r, k - 1) / C(M, k)
+        m = self.M
+        energies = np.random.default_rng(7).permutation(m).astype(np.float64)
+        pop = _blocks(m, 1, self.BLOCKS, energies)
+        rng = np.random.default_rng(11 + k)
+        out = tg.tournament_select(pop, make_params(population_size=m, genome_length=1,
+                                                    tournament_size=k),
+                                   BlockSeeds([rng] * self.BLOCKS))
+        counts = np.bincount(out.energies.astype(np.intp), minlength=m)   # energy e has rank e + 1
+        law = np.array([math.comb(m - r, k - 1) / math.comb(m, k) for r in range(1, m + 1)])
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(counts[law == 0] == 0)
+        if k == m:
+            assert counts[0] == pop.size
+        else:
+            assert _pooled_chisquare(counts[law > 0], pop.size * law[law > 0]) > FALSE_ALARM
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (4, 4), (6, 3)])
+    def test_tied_members_win_half_of_their_ties(self, m, k):
+        # members 0 and 1 tie at the lowest energy; given that one of them won,
+        # each did with probability 1/2
+        energies = np.zeros(m)
+        energies[:2] = -1.0
+        members = np.tile(np.eye(m, dtype=np.int8), (self.BLOCKS, 1))
+        pop = tg.Population(members=members, energies=np.tile(energies, self.BLOCKS),
+                            generation=0)
+        rng = np.random.default_rng(100 + m)
+        out = tg.tournament_select(pop, make_params(population_size=m, genome_length=m,
+                                                    tournament_size=k),
+                                   BlockSeeds([rng] * self.BLOCKS))
+        wins = out.members[:, :2].sum(axis=0)   # member j's row is the j-th unit vector
+        assert wins.sum() > 0
+        assert binomtest(int(wins[0]), int(wins.sum()), 0.5).pvalue > FALSE_ALARM
+
+
+class TestMutationLaw:
+    """Mutation flips each site independently with probability p_m.
+
+    Each statistical test fails with probability 1e-6 under the exact law
+    (chi-square p-value below FALSE_ALARM; every pooled cell expects at
+    least 50 counts).
+    """
+
+    def test_flip_pattern_law_of_a_small_block(self):
+        # M = 2, N = 2: all 16 flip patterns, each p^|S| (1 - p)^(4 - |S|)
+        p_m, blocks = 0.3, 20000
+        pop = _blocks(2, 2, blocks)
+        rng = np.random.default_rng(21)
+        out = tg.mutate(pop, p_m, BlockSeeds([rng] * blocks), _no_energy)
+        flipped = (out.members == -1).reshape(blocks, 4)
+        patterns = np.bincount(flipped @ (1 << np.arange(4)), minlength=16)
+        sizes = np.array([bin(i).count("1") for i in range(16)])
+        law = p_m ** sizes * (1 - p_m) ** (4 - sizes)
+        assert chisquare(patterns, blocks * law).pvalue > FALSE_ALARM
+
+    def test_flip_count_per_block_is_binomial(self):
+        m, n, p_m, blocks = 4, 5, 0.3, 20000
+        pop = _blocks(m, n, blocks)
+        rng = np.random.default_rng(22)
+        out = tg.mutate(pop, p_m, BlockSeeds([rng] * blocks), _no_energy)
+        per_block = (out.members == -1).reshape(blocks, m * n).sum(axis=1)
+        counts = np.bincount(per_block, minlength=m * n + 1)
+        law = binom.pmf(np.arange(m * n + 1), m * n, p_m)
+        assert _pooled_chisquare(counts, blocks * law) > FALSE_ALARM
+
+    def test_flipped_positions_are_uniform(self):
+        # every site flips in Binomial(blocks, p_m) of the blocks, independently
+        m, n, p_m, blocks = 10, 10, 0.05, 4000
+        pop = _blocks(m, n, blocks)
+        rng = np.random.default_rng(23)
+        out = tg.mutate(pop, p_m, BlockSeeds([rng] * blocks), _no_energy)
+        per_site = (out.members == -1).reshape(blocks, m * n).sum(axis=0)
+        stat = np.sum((per_site - blocks * p_m) ** 2) / (blocks * p_m * (1 - p_m))
+        assert chi2.sf(stat, m * n) > FALSE_ALARM
+
+    def test_no_site_flips_twice(self):
+        # the flipped sites of a block number exactly its binomial count, the first draw
+        m, n, p_m = 4, 5, 0.6
+        for seed in range(200):
+            count = np.random.default_rng(seed).binomial(m * n, p_m)
+            out = tg.mutate(_blocks(m, n, 1), p_m, seed, lambda members: np.zeros(len(members)))
+            assert np.count_nonzero(out.members == -1) == count
+
+    def test_edge_rates_are_exact(self):
+        pop = _blocks(4, 5, 3)
+        rngs = BlockSeeds(np.random.default_rng(s) for s in range(3))
+        states = [rng.bit_generator.state for rng in rngs]
+        assert tg.mutate(pop, 0.0, rngs, _no_energy) is pop
+        assert [rng.bit_generator.state for rng in rngs] == states
+        assert np.all(tg.mutate(pop, 1.0, rngs, _no_energy).members == -1)
 
 
 class TestBlocks:
@@ -378,14 +523,16 @@ class TestBlocks:
         batch = tg.Population(members=np.concatenate([p.members for p in alone]),
                               energies=np.concatenate([p.energies for p in alone]), generation=0)
         model = tg.replica_evaluator(disorders)
+
+        def generators():   # one per block, kept for the whole run
+            return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+                    for r in range(blocks)]
+
+        batch_rngs, alone_rngs = BlockSeeds(generators()), generators()
         for t in range(3):
-            batch = tg.step_generation(
-                batch, params, model,
-                BlockSeeds(np.random.SeedSequence(entropy=seed, spawn_key=(r, t))
-                           for r in range(blocks)))
-            alone = [tg.step_generation(p, params, mod,
-                                        np.random.SeedSequence(entropy=seed, spawn_key=(r, t)))
-                     for r, (p, mod) in enumerate(zip(alone, models))]
+            batch = tg.step_generation(batch, params, model, batch_rngs)
+            alone = [tg.step_generation(p, params, mod, rng)
+                     for p, mod, rng in zip(alone, models, alone_rngs)]
             assert np.array_equal(batch.members, np.concatenate([p.members for p in alone]))
             assert np.array_equal(batch.energies, np.concatenate([p.energies for p in alone]))
             assert batch.generation == t + 1
