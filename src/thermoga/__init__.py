@@ -47,7 +47,6 @@ from .experiment import (
     serialize_config,
 )
 from .ga import (
-    BlockSeeds,
     GAParams,
     Population,
     boltzmann_select,
@@ -61,7 +60,6 @@ from .ga import (
 )
 from .learner import (
     EnergyOracle,
-    LearnerState,
     analytic_chain_oracle,
     analytic_sk_oracle,
     disorder_averaged_trajectory,
@@ -87,16 +85,13 @@ from .spin_systems import (
     chain_evaluator,
     chain_ground_state,
     energy_chain,
-    energy_sk,
     enumerate_landscape,
     replica_evaluator,
     sample_chain_disorder,
     sample_sk_disorder,
     sk_energies,
     sk_evaluator,
-    spin_config,
     states_from_indices,
-    write_landscape,
 )
 
 __version__ = "0.1.0"

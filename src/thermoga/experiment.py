@@ -1,19 +1,17 @@
 """Campaign orchestration: configs, seeded disorder-averaged runs, exports.
 
 A campaign runs R independent replicas.  Each replica draws its own
-disorder, initializes its own population and learner, and evolves for the
-configured number of generations.  Its random streams are derived from
-the base seed and the replica index: one for its disorder, one for its
-initial population, and one generator, built once per run, from which every
-generation draws selection, crossover and mutation in that order.  So a
-campaign is a pure function of its config and every output byte is
-reproducible.  The replicas advance in lockstep: their populations are the
-row blocks of one array, and one call of the generation kernel advances
-them all, while each keeps its own streams, learner and oracle.  A
-replica's output therefore does not depend on R.  The learner of each
-replica is fitted, once per generation, to the mean energy of the
-offspring.  Replicas that fail, at set-up or mid-run, are recorded and
-dropped; the disorder average is taken over the survivors.
+disorder and initial population and evolves for the configured number of
+generations; after each one, its temperature takes one learner step towards
+the mean energy of the offspring.  Its random streams derive from the base
+seed and the replica index: one for its disorder, one for its initial
+population, and one generator, built once per run, from which every
+generation draws.  So a campaign is a pure function of its config.  The
+replicas advance in lockstep as the row blocks of one population, one call
+of the generation kernel for them all, and each keeps its own generator,
+temperature and oracle, so a replica's output does not depend on R.
+Replicas that fail, at set-up or mid-run, are recorded and dropped; the
+disorder average is taken over the survivors.
 
 A campaign config states each setting once: its system size `n` and its
 `model` are read from `ga.genome_length` and `disorder.model`.  Config
@@ -77,8 +75,9 @@ class ExperimentConfig:
                                else "analytic_sk")
         if self.generations < 1 or self.replicas < 1:
             raise ValueError("generations and replicas must be at least 1")
-        if self.t0 <= 0 or self.learning_rate < 0:
-            raise ValueError("t0 must be positive and learning_rate nonnegative")
+        if not (self.t0 >= learner.T_FLOOR and self.learning_rate >= 0):
+            raise ValueError(f"t0 must be at least learner.T_FLOOR = {learner.T_FLOOR} "
+                             "and learning_rate nonnegative")
         if self.oracle not in ORACLES:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.sk_pair_convention not in spin_systems.SK_CONVENTIONS:
@@ -320,19 +319,18 @@ def _build_oracle(cfg: ExperimentConfig, disorder) -> learner.EnergyOracle:
 
 
 def _start_replica(cfg: ExperimentConfig, replica: int):
-    """Disorder, oracle, learner, generation-0 population, U(T0) and GA generator of one replica."""
+    """Disorder, oracle, generation-0 population, U(T0) and GA generator of one replica."""
     disorder = _build_disorder(cfg, replica)
     model = _build_evaluator(cfg, disorder)
     oracle = _build_oracle(cfg, disorder)
     pop = ga.init_population(cfg.ga, model,
                              np.random.SeedSequence(entropy=cfg.seed,
                                                     spawn_key=(replica, _KEY_INIT)))
-    state = learner.LearnerState(temperature=cfg.t0, learning_rate=cfg.learning_rate)
-    u_gibbs = oracle.energy(state.temperature)
+    u_gibbs = oracle.energy(cfg.t0)
     ground = spin_systems.chain_ground_state(disorder)[0] if cfg.model is ModelKind.CHAIN else None
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(replica, _KEY_GA)))
-    return disorder, oracle, state, pop, u_gibbs, ground, rng
+    return disorder, oracle, pop, u_gibbs, ground, rng
 
 
 def _failure(exc: Exception) -> str:
@@ -342,14 +340,10 @@ def _failure(exc: Exception) -> str:
 def _run_replicas(cfg: ExperimentConfig):
     """Advance every replica in lockstep, one batched generation at a time.
 
-    Replica r's members are row block r of one population.  Its one
-    generator, `default_rng(SeedSequence(seed, (r, 3)))`, is built once for
-    the run, and every generation draws selection, crossover and mutation
-    from it in that order, so the replica's trajectory does not depend on
-    the other replicas.  The learner step and the oracle stay per replica.
-    A replica that raises, at set-up or at any later generation, is
-    recorded and dropped from the batch, with its generator, and the rest
-    run on.
+    Replica r owns row block r of the population and the generator
+    `default_rng(SeedSequence(seed, (r, 3)))`.  A replica that raises, at
+    set-up or at any later generation, is recorded and dropped from the
+    batch, with its generator, and the rest run on.
     """
     started, failures = [], []
     for r in range(cfg.replicas):
@@ -359,22 +353,22 @@ def _run_replicas(cfg: ExperimentConfig):
             failures.append((r, _failure(exc)))
     if not started:
         raise RuntimeError(f"all {cfg.replicas} replicas failed: {failures}")
-    ids, disorders, oracles, states, pops, u_gibbs_0, grounds, rngs = map(list, zip(*started))
+    ids, disorders, oracles, pops, u_gibbs_0, grounds, rngs = map(list, zip(*started))
 
     m, rows = cfg.ga.population_size, cfg.generations + 1
     temp, u_ga, u_gibbs, best = (np.empty((len(ids), rows)) for _ in range(4))
-    temp[:, 0] = [state.temperature for state in states]
+    temp[:, 0] = cfg.t0
     u_ga[:, 0] = [ga.empirical_energy(p) for p in pops]
     u_gibbs[:, 0] = u_gibbs_0
     best[:, 0] = [float(p.energies.min()) for p in pops]
 
     live = list(range(len(ids)))
     pop = ga.Population(members=np.concatenate([p.members for p in pops]),
-                        energies=np.concatenate([p.energies for p in pops]), generation=0)
+                        energies=np.concatenate([p.energies for p in pops]))
     model = spin_systems.replica_evaluator(disorders)
     for t in range(1, rows):
         try:
-            pop = ga.step_generation(pop, cfg.ga, model, ga.BlockSeeds(rngs[k] for k in live))
+            pop = ga.step_generation(pop, cfg.ga, model, [rngs[k] for k in live])
         except Exception as exc:   # noqa: BLE001 - the batch fails as one
             failures += [(ids[k], _failure(exc)) for k in live]
             live = []
@@ -385,10 +379,9 @@ def _run_replicas(cfg: ExperimentConfig):
         kept = []
         for j, k in enumerate(live):
             try:
-                states[k] = learner.learner_step(states[k], float(u_meas[j]),
-                                                 float(u_gibbs[k, t - 1]))
-                temp[k, t] = states[k].temperature
-                u_gibbs[k, t] = oracles[k].energy(states[k].temperature)
+                temp[k, t] = learner.learner_step(float(temp[k, t - 1]), cfg.learning_rate,
+                                                  float(u_meas[j]), float(u_gibbs[k, t - 1]))
+                u_gibbs[k, t] = oracles[k].energy(float(temp[k, t]))
                 kept.append(j)
             except Exception as exc:   # noqa: BLE001 - replica isolation is the contract
                 failures.append((ids[k], _failure(exc)))
@@ -397,8 +390,7 @@ def _run_replicas(cfg: ExperimentConfig):
             if not live:
                 break
             block = (np.asarray(kept)[:, None] * m + np.arange(m)).ravel()
-            pop = ga.Population(members=pop.members[block], energies=pop.energies[block],
-                                generation=pop.generation)
+            pop = ga.Population(members=pop.members[block], energies=pop.energies[block])
             model = spin_systems.replica_evaluator([disorders[k] for k in live])
 
     failures.sort()

@@ -10,31 +10,23 @@ Mutation flips each site independently with probability p_m; it draws how
 many sites of a block flip, Binomial(M*N, p_m), and then which, so its cost
 grows with the flips rather than with the sites.
 
-A population may hold R independent replicas at once: replica r owns row
+A population holds R independent replicas at once: replica r owns row
 block r of one (R*M, N) spin array and block r of its energies, and each
-operator acts on all R blocks with one set of array operations.  Random
-draws stay per replica.  An operator takes one seed per block (`BlockSeeds`)
-and makes, for each block in turn, exactly the draws it makes for a lone
-population, so a replica's offspring do not depend on the other replicas
-in the batch.  The energies of a batch come from a block-aware
-evaluator `model(members, blocks)`, told the block of every row it scores.
-A bare seed with a plain evaluator `model(members)` is a batch of one.
+operator acts on all R blocks with one set of array operations.  Every
+operator takes `rngs`, one `numpy.random.Generator` per block, and draws
+block r's randomness from `rngs[r]` alone, in block order, so a replica's
+offspring do not depend on the other replicas in the batch.  Energies come
+from a block-aware evaluator `model(members, blocks)`, told the block of
+every row it scores.  `step_generation` draws selection, crossover and
+mutation from each generator in that order and returns the offspring.
 
-Every operator is a pure function of (population, parameters, seeds) and
-returns a new immutable Population with freshly cached energies, so
-populations can be shared freely between workers.  Crossover and mutation
-recompute energies only for the rows they changed.  Seeds are anything
-`numpy.random.default_rng` accepts; a `Generator` is drawn from and so
-advanced.  `step_generation` makes one generator per block (a `Generator`
-is used as it is) and draws selection, crossover and mutation from it in
-that order, so an int or `SeedSequence` gives the same offspring every call
-and a `SeedSequence` is not spawned.  It returns the offspring, the
-population after mutation.
+Populations are immutable; crossover and mutation return new ones whose
+energies are recomputed only for the rows they changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,19 +67,16 @@ class GAParams:
 
 @dataclass(frozen=True)
 class Population:
-    """Immutable snapshot: spin rows, cached energies, generation counter."""
+    """Immutable snapshot: spin rows and their cached energies."""
 
     members: np.ndarray
     energies: np.ndarray
-    generation: int
 
     def __post_init__(self):
         members = np.asarray(self.members, dtype=np.int8)
         energies = np.asarray(self.energies, dtype=np.float64)
         if members.ndim != 2 or energies.shape != (members.shape[0],):
             raise DimensionMismatchError("need one cached energy per member row")
-        if self.generation < 0:
-            raise ValueError("generation counter must be nonnegative")
         members.setflags(write=False)
         energies.setflags(write=False)
         object.__setattr__(self, "members", members)
@@ -99,31 +88,18 @@ class Population:
 
 
 def init_population(params: GAParams, model: EnergyEvaluator, seed) -> Population:
-    """Uniform random +-1 genomes with energies cached."""
+    """Uniform random +-1 genomes with energies cached; `seed` is anything
+    `numpy.random.default_rng` accepts, a `Generator` being drawn from."""
     rng = np.random.default_rng(seed)
     members = (rng.integers(0, 2, size=(params.population_size, params.genome_length),
                             dtype=np.int8) * 2 - 1)
-    return Population(members=members, energies=model(members), generation=0)
+    return Population(members=members, energies=model(members))
 
 
-class BlockSeeds(tuple):
-    """One seed per replica block of a population: block r draws from seed r.
-
-    A seed may be a `Generator`, which the block's draws then advance.
-    """
-
-
-def _batch(seed, model=None) -> tuple[BlockSeeds, BlockEvaluator | None]:
-    """Per-block seeds and a block-aware evaluator; a bare seed is a batch of one."""
-    if isinstance(seed, BlockSeeds):
-        return seed, model
-    return BlockSeeds([seed]), None if model is None else (lambda members, blocks: model(members))
-
-
-def _block_size(pop: Population, seeds: BlockSeeds) -> int:
-    if not seeds or pop.size % len(seeds):
-        raise DimensionMismatchError(f"{pop.size} rows do not split into {len(seeds)} blocks")
-    return pop.size // len(seeds)
+def _block_size(pop: Population, rngs) -> int:
+    if not rngs or pop.size % len(rngs):
+        raise DimensionMismatchError(f"{pop.size} rows do not split into {len(rngs)} blocks")
+    return pop.size // len(rngs)
 
 
 def _distinct_picks(draws: np.ndarray) -> np.ndarray:
@@ -142,7 +118,7 @@ def _distinct_picks(draws: np.ndarray) -> np.ndarray:
     return picks
 
 
-def tournament_select(pop: Population, params: GAParams, seed) -> Population:
+def tournament_select(pop: Population, params: GAParams, rngs) -> Population:
     """Each output slot holds the best of `tournament_size` distinct members of its block.
 
     A slot's candidates are a uniformly random ordered tuple of distinct
@@ -150,18 +126,15 @@ def tournament_select(pop: Population, params: GAParams, seed) -> Population:
     and skips the earlier picks.  An energy tie goes to the candidate drawn
     first.
     """
-    seeds, _ = _batch(seed)
-    m, k = _block_size(pop, seeds), params.tournament_size
+    m, k = _block_size(pop, rngs), params.tournament_size
     draws = np.empty((pop.size, k), dtype=np.intp)
-    for r, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
+    for r, rng in enumerate(rngs):
         for c in range(k):
             draws[r * m:(r + 1) * m, c] = rng.integers(0, m - c, size=m)
     slots = np.arange(pop.size)
     candidates = _distinct_picks(draws) + (slots - slots % m)[:, None]
     winners = candidates[slots, np.argmin(pop.energies[candidates], axis=1)]
-    return Population(members=pop.members[winners], energies=pop.energies[winners],
-                      generation=pop.generation)
+    return Population(members=pop.members[winners], energies=pop.energies[winners])
 
 
 def boltzmann_weights(energies: np.ndarray, beta_s: float) -> np.ndarray:
@@ -172,44 +145,31 @@ def boltzmann_weights(energies: np.ndarray, beta_s: float) -> np.ndarray:
     return w / w.sum()
 
 
-def boltzmann_select(pop: Population, beta_s: float, seed) -> Population:
+def boltzmann_select(pop: Population, beta_s: float, rngs) -> Population:
     """M independent draws per block with probabilities exp(-beta_s E_a) / sum."""
     if beta_s < 0:
         raise ValueError("beta_s must be nonnegative")
-    seeds, _ = _batch(seed)
-    m = _block_size(pop, seeds)
+    m = _block_size(pop, rngs)
     idx = np.concatenate([
-        np.random.default_rng(s).choice(m, size=m, replace=True,
-                                        p=boltzmann_weights(pop.energies[r * m:(r + 1) * m], beta_s))
-        + r * m
-        for r, s in enumerate(seeds)])
-    return Population(members=pop.members[idx], energies=pop.energies[idx],
-                      generation=pop.generation)
+        rng.choice(m, size=m, replace=True,
+                   p=boltzmann_weights(pop.energies[r * m:(r + 1) * m], beta_s)) + r * m
+        for r, rng in enumerate(rngs)])
+    return Population(members=pop.members[idx], energies=pop.energies[idx])
 
 
-def cross_pair(a: np.ndarray, b: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point crossover: children swap tails from position `cut` on."""
-    ca, cb = a.copy(), b.copy()
-    ca[cut:], cb[cut:] = b[cut:], a[cut:]
-    return ca, cb
-
-
-def crossover(pop: Population, p_c: float, seed,
-              model: EnergyEvaluator | BlockEvaluator) -> Population:
+def crossover(pop: Population, p_c: float, rngs, model: BlockEvaluator) -> Population:
     """Pair the members of each block by a random perfect matching; each pair
-    crosses with prob p_c.
+    crosses with prob p_c, the children swapping tails from a uniform cut on.
 
     Members of pairs that do not cross keep their original rows, so p_c = 0
     returns an identical population.
     """
-    seeds, model = _batch(seed, model)
-    m, n = _block_size(pop, seeds), pop.members.shape[1]
-    nblocks = len(seeds)
+    m, n = _block_size(pop, rngs), pop.members.shape[1]
+    nblocks = len(rngs)
     order = np.empty((nblocks, m), dtype=np.intp)
     uniforms = np.empty((nblocks, m // 2))
     cuts = np.ones((nblocks, m // 2), dtype=np.intp)
-    for r, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
+    for r, rng in enumerate(rngs):
         order[r] = rng.permutation(m)
         rng.random(out=uniforms[r])
         if n > 1:
@@ -229,8 +189,7 @@ def crossover(pop: Population, p_c: float, seed,
     return _recached(pop, members, changed, model, m)
 
 
-def mutate(pop: Population, p_m: float, seed,
-           model: EnergyEvaluator | BlockEvaluator) -> Population:
+def mutate(pop: Population, p_m: float, rngs, model: BlockEvaluator) -> Population:
     """Flip every site independently with probability p_m; re-cache energies.
 
     Each block draws its flip count K ~ Binomial(M*N, p_m), then K distinct
@@ -238,13 +197,12 @@ def mutate(pop: Population, p_m: float, seed,
     """
     if p_m == 0.0:
         return pop
-    seeds, model = _batch(seed, model)
-    m, n = _block_size(pop, seeds), pop.members.shape[1]
+    m, n = _block_size(pop, rngs), pop.members.shape[1]
     block_sites = m * n
     sites = np.concatenate([
         rng.choice(block_sites, rng.binomial(block_sites, p_m), replace=False, shuffle=False)
         + r * block_sites
-        for r, rng in enumerate(map(np.random.default_rng, seeds))])
+        for r, rng in enumerate(rngs)])
     members = pop.members.copy()
     flat = members.reshape(-1)
     flat[sites] = -flat[sites]
@@ -261,25 +219,18 @@ def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,
     if rows.size:
         energies = energies.copy()
         energies[rows] = model(members[rows], rows // m)
-    return Population(members=members, energies=energies, generation=pop.generation)
+    return Population(members=members, energies=energies)
 
 
-def step_generation(pop: Population, params: GAParams,
-                    model: EnergyEvaluator | BlockEvaluator, seed) -> Population:
-    """One full generation of every block; the counter advances by exactly one.
-
-    Block r's selection, crossover and mutation draw, in that order, from the
-    one generator `default_rng(seed_r)`.
-    """
-    seeds, model = _batch(seed, model)
-    rngs = BlockSeeds(map(np.random.default_rng, seeds))
+def step_generation(pop: Population, params: GAParams, model: BlockEvaluator,
+                    rngs) -> Population:
+    """One full generation of every block: selection, crossover, mutation."""
     if params.selection_mode == "tournament":
         selected = tournament_select(pop, params, rngs)
     else:
         selected = boltzmann_select(pop, params.boltzmann_beta, rngs)
     crossed = crossover(selected, params.crossover_rate, rngs, model)
-    return replace(mutate(crossed, params.mutation_rate, rngs, model),
-                   generation=pop.generation + 1)
+    return mutate(crossed, params.mutation_rate, rngs, model)
 
 
 def empirical_energy(pop: Population) -> float:

@@ -6,10 +6,10 @@ energy drives the forward-Euler update
 
     T  <-  max(T_FLOOR, T - eta * T^2 * (U(T) - U_pop)),
 
-one learner step per GA generation.  A population colder than the current
-Gibbs model (U_pop < U(T)) therefore lowers T, and the update is stationary
-exactly when the two energies agree.  The floor `T_FLOOR` keeps T positive
-whatever the energies do, and no learner may start below it.
+one `learner_step` per GA generation.  A population colder than the
+current Gibbs model (U_pop < U(T)) therefore lowers T, and the update is
+stationary exactly when the two energies agree.  The floor `T_FLOOR` keeps T
+positive whatever the energies do.
 
 An `EnergyOracle` is nothing but the map T -> U(T); the builders below fix
 everything else, the analytic ones through `analytic`'s one quadrature
@@ -29,7 +29,7 @@ as an instantaneous cross-check on the learned schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,21 +43,6 @@ T_FLOOR = 1e-6   # the learned temperature never drops below this
 
 
 @dataclass(frozen=True)
-class LearnerState:
-    temperature: float
-    generation: int = 0
-    learning_rate: float = 1e-3
-
-    def __post_init__(self):
-        if self.temperature < T_FLOOR:
-            raise ValueError(f"temperature must not undercut T_FLOOR = {T_FLOOR}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
-        if self.generation < 0:
-            raise ValueError("generation counter must be nonnegative")
-
-
-@dataclass(frozen=True)
 class EnergyOracle:
     """Total Gibbs internal energy as a function of temperature."""
 
@@ -67,19 +52,16 @@ class EnergyOracle:
         return float(self.evaluator(T))
 
 
-def learner_step(state: LearnerState, u_ga: float, u_model: float) -> LearnerState:
-    """One forward-Euler update of the effective temperature.
+def learner_step(t: float, eta: float, u_ga: float, u_model: float) -> float:
+    """The temperature after one forward-Euler update from `t` at learning rate `eta`.
 
-    `u_model` is the oracle's U(T) at `state.temperature`.  The caller
-    evaluates it, so a campaign that records U(T) for every generation
-    anyway needs one oracle call per generation.
+    `u_model` is the oracle's U(t).  The caller evaluates it, so a campaign
+    that records U(T) for every generation anyway needs one oracle call per
+    generation.
     """
     if not (math.isfinite(u_ga) and math.isfinite(u_model)):
         raise DomainError("population and model energies must be finite")
-    t = state.temperature
-    gap = u_model - u_ga
-    t_new = max(T_FLOOR, t - state.learning_rate * t * t * gap)
-    return replace(state, temperature=t_new, generation=state.generation + 1)
+    return max(T_FLOOR, t - eta * t * t * (u_model - u_ga))
 
 
 def match_temperature(u_ga: float, oracle: EnergyOracle,

@@ -158,7 +158,7 @@ def metropolis_sweep(s, d, T: float, seed) -> np.ndarray:
 def estimate_internal_energy(d, T: float, opts: MCMCOptions, seed) -> tuple[float, float]:
     """Gibbs internal energy estimate: (mean over chains, between-chain std error).
 
-    Each chain is a walker with its own generator spawned from `seed`,
+    Each chain is a walker with its own generator, child i of `seed`,
     averaging its energy over the sweeps after burn-in, thinned.  Chain
     walkers at low temperature start from the exact ground state: that
     equilibrium is the ground state plus dilute local excitations, whereas a
@@ -169,7 +169,10 @@ def estimate_internal_energy(d, T: float, opts: MCMCOptions, seed) -> tuple[floa
     if T <= 0:
         raise DomainError("temperature must be positive")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(child) for child in ss.spawn(opts.chains)]
+    # child i as `ss.spawn` gives it on a fresh `ss`; `ss` itself is not advanced
+    children = (np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                       pool_size=ss.pool_size) for i in range(opts.chains))
+    rngs = [np.random.default_rng(child) for child in children]
     if isinstance(d, ChainDisorder) and T <= _GROUND_INIT_MAX_T:
         s = np.tile(chain_ground_state(d)[1], (opts.chains, 1))
     else:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -48,18 +47,6 @@ _ENUM_CHUNK = 1 << 16
 class ModelKind(str, Enum):
     CHAIN = "chain"
     SK = "sk"
-
-
-def spin_config(values) -> np.ndarray:
-    """Validate a spin string and return it as a read-only int8 array."""
-    s = np.asarray(values)
-    if s.ndim != 1 or s.size == 0:
-        raise DimensionMismatchError("spin configuration must be a nonempty 1-D sequence")
-    out = s.astype(np.int8)
-    if not np.array_equal(out, s) or not np.all(np.abs(out) == 1):
-        raise ValueError("spin values must be exactly -1 or +1")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -191,11 +178,6 @@ def energy_chain(s, d: ChainDisorder) -> float:
     return float(chain_energies(np.asarray(s)[None, :], d)[0])
 
 
-def energy_sk(s, d: SKDisorder) -> float:
-    """H(s) = -(1/N) sum_i sum_{j!=i} J_ij s_i s_j (pairs counted as `d` says)."""
-    return float(sk_energies(np.asarray(s)[None, :], d)[0])
-
-
 def chain_evaluator(d: ChainDisorder):
     """Vectorized energy evaluator for GA populations."""
     return lambda members: chain_energies(members, d)
@@ -274,12 +256,3 @@ def enumerate_landscape(d: ChainDisorder | SKDisorder):
             energies[lo : lo + _ENUM_CHUNK] = sk_energies(block, d)
     return labels, energies
 
-
-def write_landscape(d, path) -> Path:
-    """Export the landscape as two-column text: state label, energy."""
-    labels, energies = enumerate_landscape(d)
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        for s, e in zip(labels, energies):
-            fh.write(f"{s}\t{e:.17g}\n")
-    return path

@@ -53,10 +53,11 @@ class TestResidualSeries:
         model = tg.chain_evaluator(d)
         gp = tg.GAParams(population_size=30, genome_length=60)
         pop = tg.init_population(gp, model, 5)
+        blocks_model = tg.replica_evaluator([d])
         best = []
         for t in range(40):
-            pop = tg.step_generation(pop, gp, model,
-                                     np.random.SeedSequence(entropy=6, spawn_key=(t,)))
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(t,)))
+            pop = tg.step_generation(pop, gp, blocks_model, [rng])
             best.append(pop.energies.min())
         ground, _ = tg.chain_ground_state(d)
         out = tg.residual_energy_series(tg.TimeSeries(np.arange(1.0, 41.0), np.array(best)), ground)

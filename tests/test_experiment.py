@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermoga as tg
-from thermoga import analytic, cli, experiment, ga
+from thermoga import analytic, cli, experiment, ga, learner
 from thermoga.errors import ConvergenceError
 
 
@@ -241,6 +241,23 @@ class TestPairConvention:
         assert not (tmp_path / "bad").exists()
 
 
+class TestStartTemperature:
+    def test_start_below_floor_rejected(self, tmp_path):
+        cfg = tiny_chain_config(tmp_path)
+        assert dataclasses.replace(cfg, t0=learner.T_FLOOR).t0 == learner.T_FLOOR
+        with pytest.raises(ValueError, match="T_FLOOR"):
+            dataclasses.replace(cfg, t0=0.5 * learner.T_FLOOR)
+
+    def test_t0_below_floor_is_a_config_error(self, tmp_path, capsys):
+        # every replica would fail at set-up: the config is refused before anything is written
+        text = experiment.serialize_config(tiny_chain_config(tmp_path / "cold"))
+        path = tmp_path / "cold.ini"
+        path.write_text(text.replace("t0 = 5.0", "t0 = 1e-07"))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG == 2
+        assert "t0" in capsys.readouterr().err
+        assert not (tmp_path / "cold").exists()
+
+
 # ---------------------------------------------------------------------------
 # reference: one replica run on its own with plain loops, every generation drawing
 # from the replica's one generator
@@ -257,15 +274,13 @@ def reference_tournament_select(pop, params, rng):
             picks.append(int(x))
         best = min(pop.energies[picks])
         winners.append(next(p for p in picks if pop.energies[p] == best))   # first drawn
-    return tg.Population(members=pop.members[winners], energies=pop.energies[winners],
-                         generation=pop.generation)
+    return tg.Population(members=pop.members[winners], energies=pop.energies[winners])
 
 
 def reference_boltzmann_select(pop, beta_s, rng):
     idx = rng.choice(pop.size, size=pop.size, replace=True,
                      p=tg.boltzmann_weights(pop.energies, beta_s))
-    return tg.Population(members=pop.members[idx], energies=pop.energies[idx],
-                         generation=pop.generation)
+    return tg.Population(members=pop.members[idx], energies=pop.energies[idx])
 
 
 def _reference_recached(pop, members, rows, model):
@@ -273,7 +288,7 @@ def _reference_recached(pop, members, rows, model):
     if rows.size:
         energies = energies.copy()
         energies[rows] = model(members[rows])
-    return tg.Population(members=members, energies=energies, generation=pop.generation)
+    return tg.Population(members=members, energies=energies)
 
 
 def reference_crossover(pop, p_c, rng, model):
@@ -287,8 +302,8 @@ def reference_crossover(pop, p_c, rng, model):
         if n == 1:
             continue
         i, j = order[2 * pair_idx], order[2 * pair_idx + 1]
-        members[i], members[j] = ga.cross_pair(pop.members[i], pop.members[j],
-                                               int(cuts[pair_idx]))
+        cut = int(cuts[pair_idx])   # the children swap tails from the cut on
+        members[i, cut:], members[j, cut:] = pop.members[j, cut:], pop.members[i, cut:]
         touched += [i, j]
     touched = np.array(touched, dtype=np.intp)
     changed = touched[np.any(members[touched] != pop.members[touched], axis=1)]
@@ -313,12 +328,12 @@ def reference_replica(cfg, replica):
     oracle = experiment._build_oracle(cfg, disorder)
     pop = tg.init_population(cfg.ga, model,
                              np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 1)))
-    state = tg.LearnerState(temperature=cfg.t0, learning_rate=cfg.learning_rate)
     rows = cfg.generations + 1
     temp, u_ga, u_gibbs, best = (np.empty(rows) for _ in range(4))
-    temp[0] = state.temperature
+    t_learned = cfg.t0
+    temp[0] = t_learned
     u_ga[0] = tg.empirical_energy(pop)
-    u_gibbs[0] = oracle.energy(state.temperature)
+    u_gibbs[0] = oracle.energy(t_learned)
     best[0] = float(pop.energies.min())
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 3)))
     for t in range(1, rows):
@@ -329,10 +344,10 @@ def reference_replica(cfg, replica):
         crossed = reference_crossover(selected, cfg.ga.crossover_rate, rng, model)
         pop = reference_mutate(crossed, cfg.ga.mutation_rate, rng, model)
         u_meas = tg.empirical_energy(pop)
-        state = tg.learner_step(state, u_meas, float(u_gibbs[t - 1]))
-        temp[t] = state.temperature
+        t_learned = tg.learner_step(t_learned, cfg.learning_rate, u_meas, float(u_gibbs[t - 1]))
+        temp[t] = t_learned
         u_ga[t] = u_meas
-        u_gibbs[t] = oracle.energy(state.temperature)
+        u_gibbs[t] = oracle.energy(t_learned)
         best[t] = float(pop.energies.min())
     return temp, u_ga, u_gibbs, best
 

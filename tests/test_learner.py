@@ -11,38 +11,22 @@ SK_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK)
 
 class TestLearnerStep:
     def test_stationary_when_energies_match(self):
-        state = tg.LearnerState(temperature=1.5, learning_rate=0.1)
-        out = tg.learner_step(state, -3.0, -3.0)
-        assert out.temperature == state.temperature
-        assert out.generation == 1
+        assert tg.learner_step(1.5, 0.1, -3.0, -3.0) == 1.5
 
     def test_cooling_direction(self):
         # population colder than the model: U(T) - u_ga > 0 lowers T
-        state = tg.LearnerState(temperature=2.0, learning_rate=0.01)
-        out = tg.learner_step(state, -10.0, -5.0)
-        assert out.temperature < 2.0
+        assert tg.learner_step(2.0, 0.01, -10.0, -5.0) < 2.0
 
     def test_heating_direction(self):
-        state = tg.LearnerState(temperature=2.0, learning_rate=0.01)
-        out = tg.learner_step(state, -2.0, -5.0)
-        assert out.temperature > 2.0
+        assert tg.learner_step(2.0, 0.01, -2.0, -5.0) > 2.0
 
     def test_zero_learning_rate_identity(self):
-        state = tg.LearnerState(temperature=3.0, learning_rate=0.0)
-        out = tg.learner_step(state, 100.0, -5.0)
-        assert out.temperature == 3.0
+        assert tg.learner_step(3.0, 0.0, 100.0, -5.0) == 3.0
 
     def test_floor_clamp_under_adversarial_input(self):
-        state = tg.LearnerState(temperature=1.0, learning_rate=1.0)
-        out = tg.learner_step(state, -1e12, 0.0)
-        assert out.temperature == learner.T_FLOOR == 1e-6
-        out2 = tg.learner_step(out, -1e12, 0.0)
-        assert out2.temperature >= learner.T_FLOOR
-
-    def test_start_below_floor_rejected(self):
-        tg.LearnerState(temperature=learner.T_FLOOR)
-        with pytest.raises(ValueError):
-            tg.LearnerState(temperature=0.5 * learner.T_FLOOR)
+        t = tg.learner_step(1.0, 1.0, -1e12, 0.0)
+        assert t == learner.T_FLOOR == 1e-6
+        assert tg.learner_step(t, 1.0, -1e12, 0.0) >= learner.T_FLOOR
 
     def test_descent_direction_sign(self):
         rng = np.random.default_rng(0)
@@ -50,15 +34,13 @@ class TestLearnerStep:
             t = float(rng.uniform(0.1, 5))
             u_model = float(rng.normal(0, 10))
             u_pop = float(rng.normal(0, 10))
-            state = tg.LearnerState(temperature=t, learning_rate=1e-4)
-            out = tg.learner_step(state, u_pop, u_model)
-            if out.temperature > learner.T_FLOOR:
-                assert np.sign(out.temperature - t) == -np.sign(u_model - u_pop) or u_model == u_pop
+            out = tg.learner_step(t, 1e-4, u_pop, u_model)
+            if out > learner.T_FLOOR:
+                assert np.sign(out - t) == -np.sign(u_model - u_pop) or u_model == u_pop
 
     def test_nonfinite_input_rejected(self):
-        state = tg.LearnerState(temperature=1.0)
         with pytest.raises(DomainError):
-            tg.learner_step(state, float("nan"), 0.0)
+            tg.learner_step(1.0, 1e-3, float("nan"), 0.0)
 
 
 class TestMatchTemperature:
@@ -90,10 +72,10 @@ def test_learner_converges_to_matched_temperature():
     oracle = tg.analytic_chain_oracle(n, CHAIN_01)
     u_target = oracle.energy(1.0)
     t_star = tg.match_temperature(u_target, oracle, (0.1, 5.0))
-    state = tg.LearnerState(temperature=1.4, learning_rate=1e-3)
+    t = 1.4
     for _ in range(800):
-        state = tg.learner_step(state, u_target, oracle.energy(state.temperature))
-    assert abs(state.temperature - t_star) < 1e-3
+        t = tg.learner_step(t, 1e-3, u_target, oracle.energy(t))
+    assert abs(t - t_star) < 1e-3
 
 
 class TestDisorderAverage:

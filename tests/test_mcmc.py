@@ -34,11 +34,12 @@ class TestFlipCosts:
         for conv in ("ordered", "unordered"):
             dc = tg.SKDisorder(d.couplings, d.params, conv)
             costs = tg.sk_flip_costs(s, dc)
-            e0 = tg.energy_sk(s, dc)
+            e0 = tg.sk_energies(s[None], dc)[0]
             for k in range(12):
                 flipped = s.copy()
                 flipped[k] = -flipped[k]
-                assert costs[k] == pytest.approx(tg.energy_sk(flipped, dc) - e0, abs=1e-12)
+                e1 = tg.sk_energies(flipped[None], dc)[0]
+                assert costs[k] == pytest.approx(e1 - e0, abs=1e-12)
 
 
 class TestMetropolisSweep:
@@ -115,6 +116,17 @@ class TestEstimator:
         opts = tg.MCMCOptions(sweeps=800, burn_in=100, thinning=2, chains=6)
         est, se = tg.estimate_internal_energy(d, 1e8, opts, 31)
         assert abs(est) < max(5 * se, 1.0)
+
+    def test_seed_sequence_is_not_advanced(self):
+        # the walkers are the children `spawn` gives a fresh copy of the sequence,
+        # so one SeedSequence object gives the same estimate on every call
+        d = tg.sample_chain_disorder(12, CHAIN_01, 5)
+        opts = tg.MCMCOptions(sweeps=300, burn_in=50, thinning=3, chains=4)
+        ss = np.random.SeedSequence(7, spawn_key=(0, 1))
+        first = tg.estimate_internal_energy(d, 1.0, opts, ss)
+        assert tg.estimate_internal_energy(d, 1.0, opts, ss) == first
+        assert ss.n_children_spawned == 0
+        assert first == serial_estimate(d, 1.0, opts, np.random.SeedSequence(7, spawn_key=(0, 1)))
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
