@@ -47,11 +47,14 @@ from .experiment import (
     serialize_config,
 )
 from .ga import (
+    DRAW_BLOCK,
+    Draws,
     GAParams,
     Population,
     boltzmann_select,
     boltzmann_weights,
     crossover,
+    draw_generations,
     empirical_energy,
     init_population,
     mutate,

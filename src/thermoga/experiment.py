@@ -5,11 +5,14 @@ disorder and initial population and evolves for the configured number of
 generations; after each one, its temperature takes one learner step towards
 the mean energy of the offspring.  Its random streams derive from the base
 seed and the replica index: one for its disorder, one for its initial
-population, and one generator, built once per run, from which every
-generation draws.  So a campaign is a pure function of its config.  The
-replicas advance in lockstep as the row blocks of one population, one call
-of the generation kernel for them all, and each keeps its own generator,
-temperature and oracle, so a replica's output does not depend on R.
+population, and one generator, built once per run, from which the GA draws
+`ga.DRAW_BLOCK` generations at a time.  So a campaign is a pure function
+of its config.  The replicas advance in lockstep as the row blocks of one
+population, one call of the generation kernel for them all, and each keeps
+its own generator, temperature and oracle.  Draws come in whole blocks
+whatever the run length and whichever replicas fail, so a replica's output
+depends neither on R nor on the other replicas, and a shorter run's rows
+are the first rows of a longer one.
 Replicas that fail, at set-up or mid-run, are recorded and dropped; the
 disorder average is taken over the survivors.
 
@@ -49,7 +52,7 @@ ENV_OUTPUT_DIR = "THERMOGA_OUTPUT_DIR"
 ORACLES = ("analytic_chain", "analytic_sk", "enumeration")
 
 # spawn-key slots per replica: disorder, initial population, and the one generator
-# that every generation's selection, crossover and mutation draw from; 2 is unused
+# from which `ga.draw_generations` draws every block of generations; 2 is unused
 _KEY_DISORDER, _KEY_INIT, _KEY_GA = 0, 1, 3
 
 
@@ -341,9 +344,11 @@ def _run_replicas(cfg: ExperimentConfig):
     """Advance every replica in lockstep, one batched generation at a time.
 
     Replica r owns row block r of the population and the generator
-    `default_rng(SeedSequence(seed, (r, 3)))`.  A replica that raises, at
-    set-up or at any later generation, is recorded and dropped from the
-    batch, with its generator, and the rest run on.
+    `default_rng(SeedSequence(seed, (r, 3)))`, from which the live replicas
+    draw a block of `ga.DRAW_BLOCK` generations at each block start.  A
+    replica that raises, at set-up or at any later generation, is recorded
+    and dropped from the batch, with its generator and its rows of the
+    current block, and the rest run on.
     """
     started, failures = [], []
     for r in range(cfg.replicas):
@@ -367,8 +372,11 @@ def _run_replicas(cfg: ExperimentConfig):
                         energies=np.concatenate([p.energies for p in pops]))
     model = spin_systems.replica_evaluator(disorders)
     for t in range(1, rows):
+        g = (t - 1) % ga.DRAW_BLOCK
         try:
-            pop = ga.step_generation(pop, cfg.ga, model, [rngs[k] for k in live])
+            if g == 0:
+                block_draws = ga.draw_generations([rngs[k] for k in live], cfg.ga)
+            pop = ga.step_generation(pop, cfg.ga, model, block_draws[g])
         except Exception as exc:   # noqa: BLE001 - the batch fails as one
             failures += [(ids[k], _failure(exc)) for k in live]
             live = []
@@ -392,6 +400,7 @@ def _run_replicas(cfg: ExperimentConfig):
             block = (np.asarray(kept)[:, None] * m + np.arange(m)).ravel()
             pop = ga.Population(members=pop.members[block], energies=pop.energies[block])
             model = spin_systems.replica_evaluator([disorders[k] for k in live])
+            block_draws = [d.take(kept) for d in block_draws]
 
     failures.sort()
     if not live:

@@ -6,19 +6,25 @@ minimum-energy member of each draw.  A tournament draws a uniformly random
 ordered tuple of distinct members and an energy tie goes to the candidate
 drawn first, so tied members win equally often: the size-1 tournament is
 uniform resampling and the size-M tournament copies a best member.
-Mutation flips each site independently with probability p_m; it draws how
-many sites of a block flip, Binomial(M*N, p_m), and then which, so its cost
-grows with the flips rather than with the sites.
+Mutation flips each site independently with probability p_m.
 
 A population holds R independent replicas at once: replica r owns row
 block r of one (R*M, N) spin array and block r of its energies, and each
-operator acts on all R blocks with one set of array operations.  Every
-operator takes `rngs`, one `numpy.random.Generator` per block, and draws
-block r's randomness from `rngs[r]` alone, in block order, so a replica's
-offspring do not depend on the other replicas in the batch.  Energies come
-from a block-aware evaluator `model(members, blocks)`, told the block of
-every row it scores.  `step_generation` draws selection, crossover and
-mutation from each generator in that order and returns the offspring.
+operator acts on all R blocks with one set of array operations.  Energies
+come from a block-aware evaluator `model(members, blocks)`, told the block
+of every row it scores.
+
+No GA draw depends on the population, so the random numbers are drawn
+ahead of time: `draw_generations(rngs, params)` draws DRAW_BLOCK
+generations for every block, block r from `rngs[r]` alone, and the
+operators are pure functions of one generation's `Draws`.  Replica r
+draws, in this order: its tournament candidates (one `integers` call per
+tournament column), its pairings (one `permuted`), its crossover uniforms
+and cut points, its mutated sites and its Boltzmann-selection uniforms.
+Mutated sites are the ends of geometric gaps across the block's sites,
+which is exactly one Bernoulli(p_m) per site, so the cost grows with the
+flips rather than with the sites.  A replica's draws do not depend on the
+other replicas in the batch.
 
 Populations are immutable; crossover and mutation return new ones whose
 energies are recomputed only for the rows they changed.
@@ -26,6 +32,7 @@ energies are recomputed only for the rows they changed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,6 +44,10 @@ EnergyEvaluator = Callable[[np.ndarray], np.ndarray]
 BlockEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 SELECTION_MODES = ("tournament", "boltzmann")
+
+# generations drawn per call of `draw_generations`: the fixed cost of each
+# generator call is paid once per block of generations, not once per generation
+DRAW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,37 @@ class Population:
         return self.members.shape[0]
 
 
+@dataclass(frozen=True)
+class Draws:
+    """One generation's random numbers for R row blocks of M members.
+
+    `selection` holds, per output slot, the block-local tournament
+    candidates (R*M, sigma) or the Boltzmann uniforms (R*M,).  `order` is
+    each block's pairing permutation (R, M); pair j of a block crosses when
+    `cross[r, j] < p_c`, with cut point `cuts[r, j]` in [1, N).  The sites
+    that mutate are `flip_sites` (flat indices into an (M, N) block, ascending
+    within a block) of blocks `flip_blocks` (ascending).
+    """
+
+    selection: np.ndarray
+    order: np.ndarray
+    cross: np.ndarray
+    cuts: np.ndarray
+    flip_blocks: np.ndarray
+    flip_sites: np.ndarray
+
+    def take(self, kept) -> Draws:
+        """The draws of blocks `kept` (ascending), numbered 0, 1, ... in that order."""
+        kept = np.asarray(kept, dtype=np.intp)
+        m = self.order.shape[1]
+        rows = (kept[:, None] * m + np.arange(m)).ravel()
+        flipped = np.isin(self.flip_blocks, kept)
+        return Draws(selection=self.selection[rows], order=self.order[kept],
+                     cross=self.cross[kept], cuts=self.cuts[kept],
+                     flip_blocks=np.searchsorted(kept, self.flip_blocks[flipped]),
+                     flip_sites=self.flip_sites[flipped])
+
+
 def init_population(params: GAParams, model: EnergyEvaluator, seed) -> Population:
     """Uniform random +-1 genomes with energies cached; `seed` is anything
     `numpy.random.default_rng` accepts, a `Generator` being drawn from."""
@@ -94,12 +136,6 @@ def init_population(params: GAParams, model: EnergyEvaluator, seed) -> Populatio
     members = (rng.integers(0, 2, size=(params.population_size, params.genome_length),
                             dtype=np.int8) * 2 - 1)
     return Population(members=members, energies=model(members))
-
-
-def _block_size(pop: Population, rngs) -> int:
-    if not rngs or pop.size % len(rngs):
-        raise DimensionMismatchError(f"{pop.size} rows do not split into {len(rngs)} blocks")
-    return pop.size // len(rngs)
 
 
 def _distinct_picks(draws: np.ndarray) -> np.ndarray:
@@ -118,91 +154,155 @@ def _distinct_picks(draws: np.ndarray) -> np.ndarray:
     return picks
 
 
-def tournament_select(pop: Population, params: GAParams, rngs) -> Population:
-    """Each output slot holds the best of `tournament_size` distinct members of its block.
+def _bernoulli_sites(rng: np.random.Generator, sites: int, p: float) -> np.ndarray:
+    """Ascending indices in [0, sites), each present independently with probability p.
+
+    The gaps between successive flips are Geometric(p) on {1, 2, ...}, drawn
+    in chunks until they pass the last site; the gap that passes it is
+    dropped.  A gap longer than `sites` ends the walk whatever its length,
+    so each is clipped to sites + 1 before the sum: numpy returns gaps of
+    2**63 - 1 below p of about 1e-19, which would overflow it.
+    """
+    if p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    mean = sites * p
+    # five standard deviations past the mean flip count: one chunk nearly always ends the walk
+    chunk = int(mean + 5.0 * math.sqrt(mean)) + 2
+    ends, last = [], -1
+    while last < sites:
+        steps = last + np.cumsum(np.minimum(rng.geometric(p, size=chunk), sites + 1))
+        ends.append(steps)
+        last = int(steps[-1])
+    ends = np.concatenate(ends)
+    return ends[:np.searchsorted(ends, sites)]
+
+
+def draw_generations(rngs, params: GAParams) -> list[Draws]:
+    """The next DRAW_BLOCK generations' draws of every block; block r draws from `rngs[r]`.
+
+    What a block draws depends on the generators and `params` alone, never
+    on the population, so a run of G generations uses a prefix of the draws
+    of any longer run.
+    """
+    nblocks, g = len(rngs), DRAW_BLOCK
+    m, n, k = params.population_size, params.genome_length, params.tournament_size
+    tournament = params.selection_mode == "tournament"
+    if tournament:
+        raw = np.empty((nblocks, g * m, k), dtype=np.intp)
+    else:
+        uniforms = np.empty((nblocks, g * m))
+    order = np.empty((nblocks, g, m), dtype=np.intp)
+    cross = np.empty((nblocks, g, m // 2))
+    cuts = np.ones((nblocks, g, m // 2), dtype=np.intp)
+    flips = []
+    for r, rng in enumerate(rngs):
+        if tournament:
+            for c in range(k):
+                raw[r, :, c] = rng.integers(0, m - c, size=g * m)
+        order[r] = rng.permuted(np.broadcast_to(np.arange(m), (g, m)), axis=1)
+        rng.random(out=cross[r])
+        if n > 1:
+            # a single-site genome has no interior cut point
+            cuts[r] = rng.integers(1, n, size=(g, m // 2))
+        flips.append(_bernoulli_sites(rng, g * m * n, params.mutation_rate))
+        if not tournament:
+            rng.random(out=uniforms[r])
+    if tournament:
+        picks = _distinct_picks(raw.reshape(-1, k)).reshape(nblocks, g, m, k)
+        selection = picks.transpose(1, 0, 2, 3).reshape(g, nblocks * m, k)
+    else:
+        selection = uniforms.reshape(nblocks, g, m).transpose(1, 0, 2).reshape(g, nblocks * m)
+
+    # each block's flips, generation-major, regrouped by generation then block
+    block_of = np.repeat(np.arange(nblocks), [f.size for f in flips])
+    flat = np.concatenate(flips)
+    gen, site = np.divmod(flat, m * n)
+    by_gen = np.argsort(gen, kind="stable")
+    bounds = np.searchsorted(gen[by_gen], np.arange(1, g))
+    flip_blocks = np.split(block_of[by_gen], bounds)
+    flip_sites = np.split(site[by_gen], bounds)
+    return [Draws(selection=selection[i], order=order[:, i], cross=cross[:, i], cuts=cuts[:, i],
+                  flip_blocks=flip_blocks[i], flip_sites=flip_sites[i])
+            for i in range(g)]
+
+
+def _block_size(pop: Population, draws: Draws) -> int:
+    nblocks, m = draws.order.shape
+    if pop.size != nblocks * m:
+        raise DimensionMismatchError(f"{pop.size} rows are not {nblocks} blocks of {m}")
+    return m
+
+
+def tournament_select(pop: Population, draws: Draws) -> Population:
+    """Each output slot holds the best of its drawn candidates, all of its own block.
 
     A slot's candidates are a uniformly random ordered tuple of distinct
-    members: column c draws `integers(0, m - c)` for every slot of a block
-    and skips the earlier picks.  An energy tie goes to the candidate drawn
-    first.
+    members of its block; an energy tie goes to the candidate drawn first.
     """
-    m, k = _block_size(pop, rngs), params.tournament_size
-    draws = np.empty((pop.size, k), dtype=np.intp)
-    for r, rng in enumerate(rngs):
-        for c in range(k):
-            draws[r * m:(r + 1) * m, c] = rng.integers(0, m - c, size=m)
+    m = _block_size(pop, draws)
     slots = np.arange(pop.size)
-    candidates = _distinct_picks(draws) + (slots - slots % m)[:, None]
+    candidates = draws.selection + (slots - slots % m)[:, None]
     winners = candidates[slots, np.argmin(pop.energies[candidates], axis=1)]
     return Population(members=pop.members[winners], energies=pop.energies[winners])
 
 
 def boltzmann_weights(energies: np.ndarray, beta_s: float) -> np.ndarray:
-    """Normalized weights proportional to exp(-beta_s * E), max-shifted."""
+    """Normalized weights proportional to exp(-beta_s * E), max-shifted, along the last axis."""
     x = -beta_s * np.asarray(energies, dtype=np.float64)
-    x -= x.max()
+    x -= x.max(axis=-1, keepdims=True)
     w = np.exp(x)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def boltzmann_select(pop: Population, beta_s: float, rngs) -> Population:
-    """M independent draws per block with probabilities exp(-beta_s E_a) / sum."""
+def boltzmann_select(pop: Population, beta_s: float, draws: Draws) -> Population:
+    """M independent draws per block with probabilities exp(-beta_s E_a) / sum.
+
+    Slot i of block r takes the member at which the block's normalized CDF
+    first exceeds the slot's uniform: `cdf.searchsorted(u, side="right")`,
+    the inverse CDF of `Generator.choice(p=...)`, counted row by row.
+    """
     if beta_s < 0:
         raise ValueError("beta_s must be nonnegative")
-    m = _block_size(pop, rngs)
-    idx = np.concatenate([
-        rng.choice(m, size=m, replace=True,
-                   p=boltzmann_weights(pop.energies[r * m:(r + 1) * m], beta_s)) + r * m
-        for r, rng in enumerate(rngs)])
+    m = _block_size(pop, draws)
+    cdf = np.cumsum(boltzmann_weights(pop.energies.reshape(-1, m), beta_s), axis=1)
+    cdf /= cdf[:, -1:]
+    u = draws.selection.reshape(-1, m)
+    idx = np.count_nonzero(cdf[:, None, :] <= u[:, :, None], axis=2).ravel()
+    idx += np.arange(0, pop.size, m).repeat(m)
     return Population(members=pop.members[idx], energies=pop.energies[idx])
 
 
-def crossover(pop: Population, p_c: float, rngs, model: BlockEvaluator) -> Population:
-    """Pair the members of each block by a random perfect matching; each pair
-    crosses with prob p_c, the children swapping tails from a uniform cut on.
+def crossover(pop: Population, p_c: float, draws: Draws, model: BlockEvaluator) -> Population:
+    """Pair the members of each block by its drawn perfect matching; each pair
+    crosses with prob p_c, the children swapping tails from the drawn cut on.
 
     Members of pairs that do not cross keep their original rows, so p_c = 0
     returns an identical population.
     """
-    m, n = _block_size(pop, rngs), pop.members.shape[1]
-    nblocks = len(rngs)
-    order = np.empty((nblocks, m), dtype=np.intp)
-    uniforms = np.empty((nblocks, m // 2))
-    cuts = np.ones((nblocks, m // 2), dtype=np.intp)
-    for r, rng in enumerate(rngs):
-        order[r] = rng.permutation(m)
-        rng.random(out=uniforms[r])
-        if n > 1:
-            cuts[r] = rng.integers(1, n, size=m // 2)
-    order += np.arange(0, nblocks * m, m)[:, None]
+    m, n = _block_size(pop, draws), pop.members.shape[1]
+    order = draws.order + np.arange(0, pop.size, m)[:, None]
     # a single-site genome has no interior cut point
-    block, pair = np.nonzero(uniforms < p_c) if n > 1 else (np.empty(0, np.intp),) * 2
-    i, j = order[block, 2 * pair], order[block, 2 * pair + 1]
-    a, b = pop.members[i], pop.members[j]
-    tails = np.arange(n) >= cuts[block, pair][:, None]
+    block, pair = np.nonzero(draws.cross < p_c) if n > 1 else (np.empty(0, np.intp),) * 2
+    rows = np.stack([order[block, 2 * pair], order[block, 2 * pair + 1]])   # (2, pairs)
+    parents = pop.members[rows]
+    tails = np.arange(n) >= draws.cuts[block, pair][:, None]
+    children = np.where(tails, parents[::-1], parents)
     members = pop.members.copy()
-    members[i] = np.where(tails, b, a)
-    members[j] = np.where(tails, a, b)
-    touched = np.stack([i, j], axis=1).ravel()
+    members[rows] = children
     # parents that agree past the cut produce children identical to themselves
-    changed = touched[np.any(members[touched] != pop.members[touched], axis=1)]
+    changed = rows.T[np.any(children != parents, axis=2).T]
     return _recached(pop, members, changed, model, m)
 
 
-def mutate(pop: Population, p_m: float, rngs, model: BlockEvaluator) -> Population:
-    """Flip every site independently with probability p_m; re-cache energies.
+def mutate(pop: Population, draws: Draws, model: BlockEvaluator) -> Population:
+    """Flip the drawn sites of every block; re-cache energies.
 
-    Each block draws its flip count K ~ Binomial(M*N, p_m), then K distinct
-    sites uniformly: the law of one Bernoulli(p_m) per site, in O(K) draws.
+    A generation without flips (always at p_m = 0) returns `pop` itself.
     """
-    if p_m == 0.0:
+    m, n = _block_size(pop, draws), pop.members.shape[1]
+    if not draws.flip_sites.size:
         return pop
-    m, n = _block_size(pop, rngs), pop.members.shape[1]
-    block_sites = m * n
-    sites = np.concatenate([
-        rng.choice(block_sites, rng.binomial(block_sites, p_m), replace=False, shuffle=False)
-        + r * block_sites
-        for r, rng in enumerate(rngs)])
+    sites = draws.flip_blocks * (m * n) + draws.flip_sites
     members = pop.members.copy()
     flat = members.reshape(-1)
     flat[sites] = -flat[sites]
@@ -223,14 +323,14 @@ def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,
 
 
 def step_generation(pop: Population, params: GAParams, model: BlockEvaluator,
-                    rngs) -> Population:
-    """One full generation of every block: selection, crossover, mutation."""
+                    draws: Draws) -> Population:
+    """One full generation of every block from its draws: selection, crossover, mutation."""
     if params.selection_mode == "tournament":
-        selected = tournament_select(pop, params, rngs)
+        selected = tournament_select(pop, draws)
     else:
-        selected = boltzmann_select(pop, params.boltzmann_beta, rngs)
-    crossed = crossover(selected, params.crossover_rate, rngs, model)
-    return mutate(crossed, params.mutation_rate, rngs, model)
+        selected = boltzmann_select(pop, params.boltzmann_beta, draws)
+    crossed = crossover(selected, params.crossover_rate, draws, model)
+    return mutate(crossed, draws, model)
 
 
 def empirical_energy(pop: Population) -> float:

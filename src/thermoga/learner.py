@@ -44,12 +44,15 @@ T_FLOOR = 1e-6   # the learned temperature never drops below this
 
 @dataclass(frozen=True)
 class EnergyOracle:
-    """Total Gibbs internal energy as a function of temperature."""
+    """Total Gibbs internal energy as a function of temperature; never NaN or infinite."""
 
     evaluator: Callable[[float], float]
 
     def energy(self, T: float) -> float:
-        return float(self.evaluator(T))
+        u = float(self.evaluator(T))
+        if not math.isfinite(u):
+            raise DomainError(f"U(T) = {u} at T = {T} is not finite")
+        return u
 
 
 def learner_step(t: float, eta: float, u_ga: float, u_model: float) -> float:

@@ -55,9 +55,11 @@ class TestResidualSeries:
         pop = tg.init_population(gp, model, 5)
         blocks_model = tg.replica_evaluator([d])
         best = []
+        rng = np.random.default_rng(6)
         for t in range(40):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(t,)))
-            pop = tg.step_generation(pop, gp, blocks_model, [rng])
+            if t % tg.DRAW_BLOCK == 0:
+                draws = tg.draw_generations([rng], gp)
+            pop = tg.step_generation(pop, gp, blocks_model, draws[t % tg.DRAW_BLOCK])
             best.append(pop.energies.min())
         ground, _ = tg.chain_ground_state(d)
         out = tg.residual_energy_series(tg.TimeSeries(np.arange(1.0, 41.0), np.array(best)), ground)

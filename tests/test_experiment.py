@@ -259,14 +259,46 @@ class TestStartTemperature:
 
 
 # ---------------------------------------------------------------------------
-# reference: one replica run on its own with plain loops, every generation drawing
-# from the replica's one generator
+# reference: one replica run on its own with plain loops, drawing from the replica's
+# one generator a block of ga.DRAW_BLOCK generations at a time
 
-def reference_tournament_select(pop, params, rng):
-    m, k = pop.size, params.tournament_size
-    draws = [rng.integers(0, m - c, size=m) for c in range(k)]   # column c, every slot
+G = ga.DRAW_BLOCK
+
+
+def reference_flips(rng, sites, p):
+    """Sites in [0, sites) that flip: a walk over Geometric(p) gaps, drawn in chunks."""
+    if p == 0.0:
+        return []
+    chunk = int(sites * p + 5.0 * (sites * p) ** 0.5) + 2
+    flips, pos = [], -1
+    while pos < sites:
+        for gap in rng.geometric(p, size=chunk).tolist():
+            pos += min(gap, sites + 1)
+            if pos < sites:
+                flips.append(pos)
+    return flips
+
+
+def reference_block(rng, params):
+    """One replica's draws for G generations, in the order the campaign draws them."""
+    m, n, k = params.population_size, params.genome_length, params.tournament_size
+    tournament = params.selection_mode == "tournament"
+    columns = [rng.integers(0, m - c, size=G * m) for c in range(k)] if tournament else []
+    orders = rng.permuted(np.tile(np.arange(m), (G, 1)), axis=1)
+    cross = rng.random((G, m // 2))
+    cuts = rng.integers(1, n, size=(G, m // 2)) if n > 1 else np.ones((G, m // 2), np.int64)
+    flips = reference_flips(rng, G * m * n, params.mutation_rate)
+    uniforms = None if tournament else rng.random(G * m)
+    return [dict(columns=[col[g * m:(g + 1) * m] for col in columns], order=orders[g],
+                 cross=cross[g], cuts=cuts[g],
+                 flips=[f - g * m * n for f in flips if g * m * n <= f < (g + 1) * m * n],
+                 uniforms=None if tournament else uniforms[g * m:(g + 1) * m])
+            for g in range(G)]
+
+
+def reference_tournament_select(pop, draws):
     winners = []
-    for raw in zip(*draws):
+    for raw in zip(*draws["columns"]):
         picks = []
         for x in raw:
             for p in sorted(picks):   # skip the earlier picks, in ascending order
@@ -277,9 +309,10 @@ def reference_tournament_select(pop, params, rng):
     return tg.Population(members=pop.members[winners], energies=pop.energies[winners])
 
 
-def reference_boltzmann_select(pop, beta_s, rng):
-    idx = rng.choice(pop.size, size=pop.size, replace=True,
-                     p=tg.boltzmann_weights(pop.energies, beta_s))
+def reference_boltzmann_select(pop, beta_s, draws):
+    cdf = np.cumsum(tg.boltzmann_weights(pop.energies, beta_s))
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(draws["uniforms"], side="right")   # as Generator.choice(p=...)
     return tg.Population(members=pop.members[idx], energies=pop.energies[idx])
 
 
@@ -291,18 +324,16 @@ def _reference_recached(pop, members, rows, model):
     return tg.Population(members=members, energies=energies)
 
 
-def reference_crossover(pop, p_c, rng, model):
+def reference_crossover(pop, p_c, draws, model):
     m, n = pop.members.shape
-    order = rng.permutation(m)
-    do_cross = rng.random(m // 2) < p_c
-    cuts = rng.integers(1, n, size=m // 2) if n > 1 else np.ones(m // 2, dtype=np.int64)
+    order = draws["order"]
     members = pop.members.copy()
     touched = []
-    for pair_idx in np.nonzero(do_cross)[0]:
+    for pair_idx in np.nonzero(draws["cross"] < p_c)[0]:
         if n == 1:
             continue
         i, j = order[2 * pair_idx], order[2 * pair_idx + 1]
-        cut = int(cuts[pair_idx])   # the children swap tails from the cut on
+        cut = int(draws["cuts"][pair_idx])   # the children swap tails from the cut on
         members[i, cut:], members[j, cut:] = pop.members[j, cut:], pop.members[i, cut:]
         touched += [i, j]
     touched = np.array(touched, dtype=np.intp)
@@ -310,12 +341,11 @@ def reference_crossover(pop, p_c, rng, model):
     return _reference_recached(pop, members, changed, model)
 
 
-def reference_mutate(pop, p_m, rng, model):
-    if p_m == 0.0:
+def reference_mutate(pop, draws, model):
+    if not draws["flips"]:
         return pop
-    sites = pop.members.size
-    flips = np.zeros(sites, dtype=bool)
-    flips[rng.choice(sites, rng.binomial(sites, p_m), replace=False, shuffle=False)] = True
+    flips = np.zeros(pop.members.size, dtype=bool)
+    flips[draws["flips"]] = True
     flips = flips.reshape(pop.members.shape)
     members = np.where(flips, -pop.members, pop.members).astype(np.int8)
     return _reference_recached(pop, members, np.flatnonzero(flips.any(axis=1)), model)
@@ -337,12 +367,15 @@ def reference_replica(cfg, replica):
     best[0] = float(pop.energies.min())
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 3)))
     for t in range(1, rows):
+        if (t - 1) % G == 0:
+            block = reference_block(rng, cfg.ga)
+        draws = block[(t - 1) % G]
         if cfg.ga.selection_mode == "tournament":
-            selected = reference_tournament_select(pop, cfg.ga, rng)
+            selected = reference_tournament_select(pop, draws)
         else:
-            selected = reference_boltzmann_select(pop, cfg.ga.boltzmann_beta, rng)
-        crossed = reference_crossover(selected, cfg.ga.crossover_rate, rng, model)
-        pop = reference_mutate(crossed, cfg.ga.mutation_rate, rng, model)
+            selected = reference_boltzmann_select(pop, cfg.ga.boltzmann_beta, draws)
+        crossed = reference_crossover(selected, cfg.ga.crossover_rate, draws, model)
+        pop = reference_mutate(crossed, draws, model)
         u_meas = tg.empirical_energy(pop)
         t_learned = tg.learner_step(t_learned, cfg.learning_rate, u_meas, float(u_gibbs[t - 1]))
         temp[t] = t_learned
@@ -365,7 +398,7 @@ class TestLockstepMatchesReference:
            p_c=st.sampled_from([0.0, 0.3, 1.0]),
            p_m=st.sampled_from([0.0, 0.05, 1.0]),
            replicas=st.integers(1, 3),
-           generations=st.integers(1, 6),
+           generations=st.integers(1, G + 4),
            seed=st.integers(0, 2**32 - 1))
     def test_arrays_equal_per_replica_reference(self, model, n, pairs, sigma, selection, beta,
                                                 p_c, p_m, replicas, generations, seed):
@@ -393,6 +426,19 @@ class TestLockstepMatchesReference:
         assert ((tmp_path / "one" / "replica_00.tsv").read_bytes()
                 == (tmp_path / "three" / "replica_00.tsv").read_bytes())
         assert np.array_equal(one.temperature[0], three.temperature[0])
+
+    def test_shorter_runs_are_the_first_rows_of_a_longer_one(self, tmp_path):
+        # draws come in whole blocks of G generations whatever the run length
+        runs = {g: experiment.run_experiment(tiny_chain_config(tmp_path / str(g), generations=g))
+                for g in (5, G + 5, 40)}
+        for g in (5, G + 5):
+            for got, want in ((runs[g].temperature, runs[40].temperature),
+                              (runs[g].u_ga, runs[40].u_ga), (runs[g].u_gibbs, runs[40].u_gibbs),
+                              (runs[g].best_energy, runs[40].best_energy)):
+                assert np.array_equal(got, want[:, :g + 1])
+            for name in ("replica_00.tsv", "replica_01.tsv"):
+                lines = (tmp_path / "40" / name).read_bytes().splitlines(keepends=True)
+                assert (tmp_path / str(g) / name).read_bytes() == b"".join(lines[:g + 2])
 
 
 class TestOracleCalls:
@@ -466,7 +512,14 @@ class TestMidRunFailures:
     """In lockstep, a replica that raises at generation t > 0 leaves the batch alone."""
 
     @staticmethod
-    def run_failing(out, calls_before_failure):
+    def fail(T):
+        raise ConvergenceError("RS fixed point did not converge", residual=1.0)
+
+    @classmethod
+    def run_failing(cls, out, calls_before_failure, generations=5, fault=None):
+        """Replica r's oracle meets `fault` (default: raise) after its first
+        calls_before_failure[r] calls, at generation calls_before_failure[r]."""
+        fault = fault or cls.fail
         original, built = experiment._build_oracle, []
 
         def build(cfg, disorder):
@@ -479,13 +532,18 @@ class TestMidRunFailures:
             def energy(T):
                 calls["n"] += 1
                 if calls["n"] > calls_before_failure[replica]:
-                    raise ConvergenceError("RS fixed point did not converge", residual=1.0)
+                    return fault(T)
                 return oracle.energy(T)
             return tg.EnergyOracle(evaluator=energy)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiment, "_build_oracle", build)
-            return experiment.run_experiment(tiny_chain_config(out, replicas=3))
+            return experiment.run_experiment(tiny_chain_config(out, generations, replicas=3))
+
+    def assert_survivors_as_clean(self, tmp_path, generations):
+        experiment.run_experiment(tiny_chain_config(tmp_path / "clean", generations, replicas=3))
+        for name in ("replica_00.tsv", "replica_02.tsv"):
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
     def test_failed_replica_dropped_survivors_unchanged(self, tmp_path):
         clean = experiment.run_experiment(tiny_chain_config(tmp_path / "clean", replicas=3))
@@ -505,6 +563,22 @@ class TestMidRunFailures:
         lines = (tmp_path / "f" / "failures.txt").read_text().splitlines()
         assert [line.split(":")[0] for line in lines] == ["replica 0", "replica 2"]
         assert summary.temperature.shape == (1, 6)
+
+    def test_failure_mid_block_leaves_survivors_as_clean(self, tmp_path):
+        # replica 1 fails at generation G + 3; the survivors keep their rows of the
+        # block of draws in progress
+        summary = self.run_failing(tmp_path / "f", {1: G + 3}, generations=2 * G + 5)
+        assert [r for r, _ in summary.replica_failures] == [1]
+        assert not (tmp_path / "f" / "replica_01.tsv").exists()
+        self.assert_survivors_as_clean(tmp_path, 2 * G + 5)
+
+    def test_non_finite_energy_at_the_last_generation_fails_the_replica(self, tmp_path):
+        summary = self.run_failing(tmp_path / "f", {1: 5}, fault=lambda T: float("nan"))
+        assert [r for r, _ in summary.replica_failures] == [1]
+        assert (tmp_path / "f" / "failures.txt").read_text().startswith(
+            "replica 1: DomainError: U(T) = nan at T = ")
+        assert not (tmp_path / "f" / "replica_01.tsv").exists()
+        self.assert_survivors_as_clean(tmp_path, 5)
 
     def test_kernel_failure_fails_every_live_replica(self, tmp_path, monkeypatch):
         # replica 1's oracle fails at generation 1; the batched mutation then

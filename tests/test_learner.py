@@ -122,3 +122,8 @@ class TestOracleFactories:
         assert oracle.energy(1.8) == pytest.approx(
             100 * tg.sk_internal_energy_density(1.8, SK_01, tg.sk_rs_fixed_point(1.8, SK_01)),
             abs=1e-9)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_energy_is_a_domain_error(self, value):
+        with pytest.raises(DomainError, match="not finite"):
+            tg.EnergyOracle(evaluator=lambda T: value).energy(1.0)
