@@ -13,8 +13,10 @@ its own generator, temperature and oracle.  Draws come in whole blocks
 whatever the run length and whichever replicas fail, so a replica's output
 depends neither on R nor on the other replicas, and a shorter run's rows
 are the first rows of a longer one.
-Replicas that fail, at set-up or mid-run, are recorded and dropped; the
-disorder average is taken over the survivors.
+A replica that fails at set-up never joins the batch; one that fails
+mid-run is recorded and masked, its rows riding along unread.  Either way
+it is listed in `failures.txt`, and the disorder average is taken over the
+survivors.
 
 A campaign config states each setting once: its system size `n` and its
 `model` are read from `ga.genome_length` and `disorder.model`.  Config
@@ -257,6 +259,9 @@ def parse_config(text: str):
         return McmcCurveConfig(
             **run, options=mcmc.MCMCOptions(**options),
             disorder=DisorderParams(**values["disorder"], model=ModelKind.CHAIN))
+    for key in ("n", "model"):
+        if key not in run:
+            raise ValueError(f"missing required key {key!r} in [run]")
     n, model = run.pop("n"), run.pop("model")
     return ExperimentConfig(**run, ga=ga.GAParams(**values["ga"], genome_length=n),
                             disorder=DisorderParams(**values["disorder"], model=model))
@@ -343,12 +348,12 @@ def _failure(exc: Exception) -> str:
 def _run_replicas(cfg: ExperimentConfig):
     """Advance every replica in lockstep, one batched generation at a time.
 
-    Replica r owns row block r of the population and the generator
-    `default_rng(SeedSequence(seed, (r, 3)))`, from which the live replicas
-    draw a block of `ga.DRAW_BLOCK` generations at each block start.  A
-    replica that raises, at set-up or at any later generation, is recorded
-    and dropped from the batch, with its generator and its rows of the
-    current block, and the rest run on.
+    Replica r owns a row block of the population and the generator
+    `default_rng(SeedSequence(seed, (r, 3)))`; every started replica draws a
+    block of `ga.DRAW_BLOCK` generations at each block start.  A replica
+    that fails at set-up never joins the batch.  One that raises later is
+    recorded and cleared in the `live` mask: its rows ride along unread,
+    and the rest run on unchanged, since row blocks never interact.
     """
     started, failures = [], []
     for r in range(cfg.replicas):
@@ -363,49 +368,44 @@ def _run_replicas(cfg: ExperimentConfig):
     m, rows = cfg.ga.population_size, cfg.generations + 1
     temp, u_ga, u_gibbs, best = (np.empty((len(ids), rows)) for _ in range(4))
     temp[:, 0] = cfg.t0
-    u_ga[:, 0] = [ga.empirical_energy(p) for p in pops]
     u_gibbs[:, 0] = u_gibbs_0
-    best[:, 0] = [float(p.energies.min()) for p in pops]
 
-    live = list(range(len(ids)))
+    live = np.ones(len(ids), dtype=bool)
     pop = ga.Population(members=np.concatenate([p.members for p in pops]),
                         energies=np.concatenate([p.energies for p in pops]))
     model = spin_systems.replica_evaluator(disorders)
-    for t in range(1, rows):
-        g = (t - 1) % ga.DRAW_BLOCK
-        try:
-            if g == 0:
-                block_draws = ga.draw_generations([rngs[k] for k in live], cfg.ga)
-            pop = ga.step_generation(pop, cfg.ga, model, block_draws[g])
-        except Exception as exc:   # noqa: BLE001 - the batch fails as one
-            failures += [(ids[k], _failure(exc)) for k in live]
-            live = []
-            break
-        u_meas = pop.energies.reshape(-1, m).mean(axis=1)
-        u_ga[live, t] = u_meas
-        best[live, t] = pop.energies.reshape(-1, m).min(axis=1)
-        kept = []
-        for j, k in enumerate(live):
+    for t in range(rows):
+        if t:
+            g = (t - 1) % ga.DRAW_BLOCK
+            try:
+                if g == 0:
+                    block_draws = ga.draw_generations(rngs, cfg.ga)
+                pop = ga.step_generation(pop, cfg.ga, model, block_draws[g])
+            except Exception as exc:   # noqa: BLE001 - the batch fails as one
+                failures += [(ids[k], _failure(exc)) for k in np.flatnonzero(live)]
+                live[:] = False
+                break
+        energies = pop.energies.reshape(-1, m)
+        u_ga[:, t] = energies.mean(axis=1)
+        best[:, t] = energies.min(axis=1)
+        if not t:
+            continue   # generation 0's T and U(T) were set at start
+        for k in np.flatnonzero(live):
             try:
                 temp[k, t] = learner.learner_step(float(temp[k, t - 1]), cfg.learning_rate,
-                                                  float(u_meas[j]), float(u_gibbs[k, t - 1]))
+                                                  float(u_ga[k, t]), float(u_gibbs[k, t - 1]))
                 u_gibbs[k, t] = oracles[k].energy(float(temp[k, t]))
-                kept.append(j)
             except Exception as exc:   # noqa: BLE001 - replica isolation is the contract
                 failures.append((ids[k], _failure(exc)))
-        if len(kept) < len(live):
-            live = [live[j] for j in kept]
-            if not live:
-                break
-            block = (np.asarray(kept)[:, None] * m + np.arange(m)).ravel()
-            pop = ga.Population(members=pop.members[block], energies=pop.energies[block])
-            model = spin_systems.replica_evaluator([disorders[k] for k in live])
-            block_draws = [d.take(kept) for d in block_draws]
+                live[k] = False
+        if not live.any():
+            break
 
     failures.sort()
-    if not live:
+    if not live.any():
         raise RuntimeError(f"all {cfg.replicas} replicas failed: {failures}")
-    return temp[live], u_ga[live], u_gibbs[live], best[live], [grounds[k] for k in live], failures
+    return (temp[live], u_ga[live], u_gibbs[live], best[live],
+            [grounds[k] for k in np.flatnonzero(live)], failures)
 
 
 def _fit_or_reason(fit):

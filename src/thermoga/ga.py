@@ -12,7 +12,10 @@ A population holds R independent replicas at once: replica r owns row
 block r of one (R*M, N) spin array and block r of its energies, and each
 operator acts on all R blocks with one set of array operations.  Energies
 come from a block-aware evaluator `model(members, blocks)`, told the block
-of every row it scores.
+of every row it scores.  Blocks never interact: tournaments and pairings
+stay inside a block, flips are drawn per block, and each row is scored on
+its own block's instance.  So a block's rows depend on its own draws alone,
+and a caller may leave a block it no longer reads in the batch.
 
 No GA draw depends on the population, so the random numbers are drawn
 ahead of time: `draw_generations(rngs, params)` draws DRAW_BLOCK
@@ -106,27 +109,14 @@ class Draws:
     candidates (R*M, sigma) or the Boltzmann uniforms (R*M,).  `order` is
     each block's pairing permutation (R, M); pair j of a block crosses when
     `cross[r, j] < p_c`, with cut point `cuts[r, j]` in [1, N).  The sites
-    that mutate are `flip_sites` (flat indices into an (M, N) block, ascending
-    within a block) of blocks `flip_blocks` (ascending).
+    that mutate are `flips`, ascending flat indices into the (R*M, N) batch.
     """
 
     selection: np.ndarray
     order: np.ndarray
     cross: np.ndarray
     cuts: np.ndarray
-    flip_blocks: np.ndarray
-    flip_sites: np.ndarray
-
-    def take(self, kept) -> Draws:
-        """The draws of blocks `kept` (ascending), numbered 0, 1, ... in that order."""
-        kept = np.asarray(kept, dtype=np.intp)
-        m = self.order.shape[1]
-        rows = (kept[:, None] * m + np.arange(m)).ravel()
-        flipped = np.isin(self.flip_blocks, kept)
-        return Draws(selection=self.selection[rows], order=self.order[kept],
-                     cross=self.cross[kept], cuts=self.cuts[kept],
-                     flip_blocks=np.searchsorted(kept, self.flip_blocks[flipped]),
-                     flip_sites=self.flip_sites[flipped])
+    flips: np.ndarray
 
 
 def init_population(params: GAParams, model: EnergyEvaluator, seed) -> Population:
@@ -213,16 +203,13 @@ def draw_generations(rngs, params: GAParams) -> list[Draws]:
     else:
         selection = uniforms.reshape(nblocks, g, m).transpose(1, 0, 2).reshape(g, nblocks * m)
 
-    # each block's flips, generation-major, regrouped by generation then block
-    block_of = np.repeat(np.arange(nblocks), [f.size for f in flips])
-    flat = np.concatenate(flips)
-    gen, site = np.divmod(flat, m * n)
+    # each block's flips, generation-major, renumbered into the batch and regrouped by generation
+    gen, site = np.divmod(np.concatenate(flips), m * n)
+    batch = np.repeat(np.arange(nblocks) * (m * n), [f.size for f in flips]) + site
     by_gen = np.argsort(gen, kind="stable")
-    bounds = np.searchsorted(gen[by_gen], np.arange(1, g))
-    flip_blocks = np.split(block_of[by_gen], bounds)
-    flip_sites = np.split(site[by_gen], bounds)
+    flips = np.split(batch[by_gen], np.searchsorted(gen[by_gen], np.arange(1, g)))
     return [Draws(selection=selection[i], order=order[:, i], cross=cross[:, i], cuts=cuts[:, i],
-                  flip_blocks=flip_blocks[i], flip_sites=flip_sites[i])
+                  flips=flips[i])
             for i in range(g)]
 
 
@@ -300,13 +287,17 @@ def mutate(pop: Population, draws: Draws, model: BlockEvaluator) -> Population:
     A generation without flips (always at p_m = 0) returns `pop` itself.
     """
     m, n = _block_size(pop, draws), pop.members.shape[1]
-    if not draws.flip_sites.size:
+    if not draws.flips.size:
         return pop
-    sites = draws.flip_blocks * (m * n) + draws.flip_sites
     members = pop.members.copy()
     flat = members.reshape(-1)
-    flat[sites] = -flat[sites]
-    return _recached(pop, members, np.unique(sites // n), model, m)
+    flat[draws.flips] = -flat[draws.flips]
+    # the flips ascend, so keeping each row that differs from its predecessor lists each once
+    rows = draws.flips // n
+    first = np.empty(rows.size, dtype=bool)
+    first[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    return _recached(pop, members, rows[first], model, m)
 
 
 def _recached(pop: Population, members: np.ndarray, rows: np.ndarray,

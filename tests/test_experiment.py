@@ -557,12 +557,18 @@ class TestMidRunFailures:
         assert np.array_equal(summary.temperature, clean.temperature[[0, 2]])
 
     def test_failures_listed_by_replica_index(self, tmp_path):
-        # replica 2 fails at generation 1, replica 0 at generation 4
-        summary = self.run_failing(tmp_path / "f", {2: 1, 0: 4})
-        assert [r for r, _ in summary.replica_failures] == [0, 2]
-        lines = (tmp_path / "f" / "failures.txt").read_text().splitlines()
-        assert [line.split(":")[0] for line in lines] == ["replica 0", "replica 2"]
-        assert summary.temperature.shape == (1, 6)
+        # replica 2 fails at generation 1 and replica 0 at generation 4; then replica 0
+        # fails at set-up, never joining the batch, and replica 2 at generation 3
+        clean = tmp_path / "clean" / "replica_01.tsv"
+        experiment.run_experiment(tiny_chain_config(clean.parent, replicas=3))
+        for case, calls_before_failure in enumerate(({2: 1, 0: 4}, {0: 0, 2: 3})):
+            out = tmp_path / f"f{case}"
+            summary = self.run_failing(out, calls_before_failure)
+            assert [r for r, _ in summary.replica_failures] == [0, 2]
+            lines = (out / "failures.txt").read_text().splitlines()
+            assert [line.split(":")[0] for line in lines] == ["replica 0", "replica 2"]
+            assert summary.temperature.shape == (1, 6)
+            assert (out / "replica_01.tsv").read_bytes() == clean.read_bytes()
 
     def test_failure_mid_block_leaves_survivors_as_clean(self, tmp_path):
         # replica 1 fails at generation G + 3; the survivors keep their rows of the
@@ -688,7 +694,14 @@ class TestCli:
     def test_unknown_preset_exit_code(self):
         assert cli.main(["preset", "nope"]) == cli.EXIT_CONFIG
 
-    def test_bad_config_exit_code(self, tmp_path):
+    def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[run]\nkind = campaign\nname = x\nmodel = chain\nn = -3\n")
         assert cli.main(["run", str(path)]) != 0
+        for key, text in (("n", "[run]\nname = x\nmodel = chain\n"),
+                          ("model", "[run]\nname = x\nn = 8\n")):
+            capsys.readouterr()
+            path.write_text(text)
+            assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: missing required key {key!r} in [run]\n")

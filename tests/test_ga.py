@@ -178,7 +178,7 @@ class TestBoltzmann:
         uniforms = np.concatenate([rng.random(m) for rng in rngs])
         draws = tg.Draws(selection=uniforms, order=np.zeros((blocks, m), np.intp),
                          cross=np.zeros((blocks, m // 2)), cuts=np.ones((blocks, m // 2), np.intp),
-                         flip_blocks=np.empty(0, np.intp), flip_sites=np.empty(0, np.intp))
+                         flips=np.empty(0, np.intp))
         out = tg.boltzmann_select(pop, beta_s, draws)
         want = np.concatenate([
             np.random.default_rng(30 + r).choice(
@@ -565,7 +565,7 @@ class TestMutationLaw:
         m, n, p_m, calls = 2, 5, 0.15, 10000
         params = make_params(population_size=m, genome_length=n, mutation_rate=p_m)
         rng = np.random.default_rng(24 + generation)
-        per_block = np.array([tg.draw_generations([rng], params)[generation].flip_sites.size
+        per_block = np.array([tg.draw_generations([rng], params)[generation].flips.size
                               for _ in range(calls)])
         counts = np.bincount(per_block, minlength=m * n + 1)
         law = binom.pmf(np.arange(m * n + 1), m * n, p_m)
@@ -585,9 +585,29 @@ class TestMutationLaw:
         params = make_params(population_size=m, genome_length=n, mutation_rate=0.6)
         for seed in range(20):
             for d in tg.draw_generations([np.random.default_rng(seed)], params):
-                assert np.unique(d.flip_sites).size == d.flip_sites.size
+                assert np.unique(d.flips).size == d.flips.size
                 out = tg.mutate(_blocks(m, n, 1), d, _no_energy)
-                assert np.count_nonzero(out.members == -1) == d.flip_sites.size
+                assert np.count_nonzero(out.members == -1) == d.flips.size
+
+    def test_flips_ascend_and_each_changed_row_is_rescored_once(self):
+        m, n, blocks = 4, 5, 3
+        params = make_params(population_size=m, genome_length=n, mutation_rate=0.2)
+        rngs = [np.random.default_rng(s) for s in range(blocks)]
+        for d in tg.draw_generations(rngs, params) + tg.draw_generations(rngs, params):
+            assert np.all(np.diff(d.flips) > 0)
+            scored = []
+
+            def model(members, block_of):
+                scored.append((members.copy(), block_of))
+                return np.zeros(members.shape[0])
+
+            out = tg.mutate(_blocks(m, n, blocks), d, model)
+            changed = np.flatnonzero(np.any(out.members == -1, axis=1))
+            assert len(scored) == (1 if changed.size else 0)
+            if scored:
+                members, block_of = scored[0]
+                assert np.array_equal(members, out.members[changed])
+                assert np.array_equal(block_of, changed // m)
 
     def test_edge_rates_are_exact(self):
         pop = _blocks(4, 5, 3)
@@ -649,16 +669,6 @@ class TestBlocks:
                      for p, mod, d in zip(alone, models, alone_draws)]
             assert np.array_equal(batch.members, np.concatenate([p.members for p in alone]))
             assert np.array_equal(batch.energies, np.concatenate([p.energies for p in alone]))
-
-    @pytest.mark.parametrize("selection", ["tournament", "boltzmann"])
-    def test_take_equals_the_kept_blocks_drawn_alone(self, selection):
-        params = make_params(population_size=6, genome_length=7, tournament_size=3,
-                             mutation_rate=0.2, selection_mode=selection)
-        batch = tg.draw_generations([np.random.default_rng(r) for r in range(4)], params)
-        kept = tg.draw_generations([np.random.default_rng(r) for r in (1, 3)], params)
-        for got, want in zip((d.take([1, 3]) for d in batch), kept):
-            for name in ("selection", "order", "cross", "cuts", "flip_blocks", "flip_sites"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_rows_must_split_into_blocks(self, chain_setup):
         _, model = chain_setup
