@@ -55,7 +55,6 @@ from .ga import (
     boltzmann_weights,
     crossover,
     draw_generations,
-    empirical_energy,
     init_population,
     mutate,
     step_generation,
@@ -67,6 +66,7 @@ from .learner import (
     analytic_sk_oracle,
     disorder_averaged_trajectory,
     enumeration_oracle,
+    learn_schedule,
     learner_step,
     match_temperature,
 )

@@ -2,21 +2,21 @@
 
 A campaign runs R independent replicas.  Each replica draws its own
 disorder and initial population and evolves for the configured number of
-generations; after each one, its temperature takes one learner step towards
-the mean energy of the offspring.  Its random streams derive from the base
+generations; then its temperature takes one learner step per generation
+towards the mean energy of the offspring.  Its random streams derive from the base
 seed and the replica index: one for its disorder, one for its initial
 population, and one generator, built once per run, from which the GA draws
 `ga.DRAW_BLOCK` generations at a time.  So a campaign is a pure function
 of its config.  The replicas advance in lockstep as the row blocks of one
 population, one call of the generation kernel for them all, and each keeps
-its own generator, temperature and oracle.  Draws come in whole blocks
+its own generator.  Draws come in whole blocks
 whatever the run length and whichever replicas fail, so a replica's output
 depends neither on R nor on the other replicas, and a shorter run's rows
 are the first rows of a longer one.
-A replica that fails at set-up never joins the batch; one that fails
-mid-run is recorded and masked, its rows riding along unread.  Either way
-it is listed in `failures.txt`, and the disorder average is taken over the
-survivors.
+A replica that fails at set-up never joins the batch, an exception from the
+batch fails all of it, and a replica whose learner raises (its oracle at T0
+included) is dropped after the run.  Each is listed in `failures.txt`, and
+the disorder average is taken over the survivors.
 
 A campaign config states each setting once: its system size `n` and its
 `model` are read from `ga.genome_length` and `disorder.model`.  Config
@@ -80,9 +80,9 @@ class ExperimentConfig:
                                else "analytic_sk")
         if self.generations < 1 or self.replicas < 1:
             raise ValueError("generations and replicas must be at least 1")
-        if not (self.t0 >= learner.T_FLOOR and self.learning_rate >= 0):
-            raise ValueError(f"t0 must be at least learner.T_FLOOR = {learner.T_FLOOR} "
-                             "and learning_rate nonnegative")
+        if not (learner.T_FLOOR <= self.t0 < np.inf and 0 <= self.learning_rate < np.inf):
+            raise ValueError(f"t0 must be finite and at least learner.T_FLOOR = "
+                             f"{learner.T_FLOOR}, and learning_rate finite and nonnegative")
         if self.oracle not in ORACLES:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.sk_pair_convention not in spin_systems.SK_CONVENTIONS:
@@ -216,7 +216,7 @@ _COMMON_RUN = {"kind": str, "name": str, "seed": int, "output_dir": str}
 _DISORDER = {"mean": float, "std": float}
 _SCHEMAS = {
     "campaign": {
-        "run": {**_COMMON_RUN, "model": ModelKind, "n": int, "generations": int,
+        "run": {"model": ModelKind, "n": int, **_COMMON_RUN, "generations": int,
                 "replicas": int, "t0": float, "learning_rate": float, "oracle": str,
                 "sk_pair_convention": str},
         "ga": {"population_size": int, "tournament_size": int, "crossover_rate": float,
@@ -231,6 +231,9 @@ _SCHEMAS = {
     },
     "oracle_suite": {"run": _COMMON_RUN},
 }
+# the keys whose dataclass field has no default, in whichever kind and section
+_REQUIRED = {"name", "seed", "model", "n", "generations", "replicas", "t0", "learning_rate",
+             "population_size", "mean", "std", "temperatures", "realizations"}
 
 
 def parse_config(text: str):
@@ -249,6 +252,10 @@ def parse_config(text: str):
             if key not in schema[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}] of a {kind} config")
             values[section][key] = schema[section][key](raw)
+    for section, keys in schema.items():
+        for key in keys:
+            if key in _REQUIRED and key not in values[section]:
+                raise ValueError(f"missing required key {key!r} in [{section}]")
     run = values["run"]
     run.pop("kind", None)
     if kind == "oracle_suite":
@@ -259,9 +266,6 @@ def parse_config(text: str):
         return McmcCurveConfig(
             **run, options=mcmc.MCMCOptions(**options),
             disorder=DisorderParams(**values["disorder"], model=ModelKind.CHAIN))
-    for key in ("n", "model"):
-        if key not in run:
-            raise ValueError(f"missing required key {key!r} in [run]")
     n, model = run.pop("n"), run.pop("model")
     return ExperimentConfig(**run, ga=ga.GAParams(**values["ga"], genome_length=n),
                             disorder=DisorderParams(**values["disorder"], model=model))
@@ -327,50 +331,51 @@ def _build_oracle(cfg: ExperimentConfig, disorder) -> learner.EnergyOracle:
 
 
 def _start_replica(cfg: ExperimentConfig, replica: int):
-    """Disorder, oracle, generation-0 population, U(T0) and GA generator of one replica."""
+    """Disorder, generation-0 population, ground energy and GA generator of one replica."""
     disorder = _build_disorder(cfg, replica)
     model = _build_evaluator(cfg, disorder)
-    oracle = _build_oracle(cfg, disorder)
     pop = ga.init_population(cfg.ga, model,
                              np.random.SeedSequence(entropy=cfg.seed,
                                                     spawn_key=(replica, _KEY_INIT)))
-    u_gibbs = oracle.energy(cfg.t0)
     ground = spin_systems.chain_ground_state(disorder)[0] if cfg.model is ModelKind.CHAIN else None
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(replica, _KEY_GA)))
-    return disorder, oracle, pop, u_gibbs, ground, rng
+    return disorder, pop, ground, rng
 
 
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _each_replica(ids, work, failures):
+    """The positions k of `ids` at which `work(k)` returned, and what it returned;
+    a replica whose work raises is recorded in `failures` and left out."""
+    done = []
+    for k, r in enumerate(ids):
+        try:
+            done.append((k, work(k)))
+        except Exception as exc:   # noqa: BLE001 - replica isolation is the contract
+            failures.append((r, _failure(exc)))
+    if not done:
+        raise RuntimeError(f"all {len(failures)} replicas failed: {sorted(failures)}")
+    return map(list, zip(*done))
+
+
 def _run_replicas(cfg: ExperimentConfig):
-    """Advance every replica in lockstep, one batched generation at a time.
+    """Evolve every replica in lockstep, one batched generation at a time, then learn.
 
     Replica r owns a row block of the population and the generator
     `default_rng(SeedSequence(seed, (r, 3)))`; every started replica draws a
-    block of `ga.DRAW_BLOCK` generations at each block start.  A replica
-    that fails at set-up never joins the batch.  One that raises later is
-    recorded and cleared in the `live` mask: its rows ride along unread,
-    and the rest run on unchanged, since row blocks never interact.
+    block of `ga.DRAW_BLOCK` generations at each block start.  The GA loop
+    records only the mean and best energies; each replica's schedule is then
+    learned from its own.  Returns the surviving replica ids and their rows.
     """
-    started, failures = [], []
-    for r in range(cfg.replicas):
-        try:
-            started.append((r, *_start_replica(cfg, r)))
-        except Exception as exc:   # noqa: BLE001 - replica isolation is the contract
-            failures.append((r, _failure(exc)))
-    if not started:
-        raise RuntimeError(f"all {cfg.replicas} replicas failed: {failures}")
-    ids, disorders, oracles, pops, u_gibbs_0, grounds, rngs = map(list, zip(*started))
+    failures = []
+    ids, started = _each_replica(range(cfg.replicas), lambda r: _start_replica(cfg, r), failures)
+    disorders, pops, grounds, rngs = map(list, zip(*started))
 
     m, rows = cfg.ga.population_size, cfg.generations + 1
-    temp, u_ga, u_gibbs, best = (np.empty((len(ids), rows)) for _ in range(4))
-    temp[:, 0] = cfg.t0
-    u_gibbs[:, 0] = u_gibbs_0
-
-    live = np.ones(len(ids), dtype=bool)
+    u_ga, best = np.empty((len(ids), rows)), np.empty((len(ids), rows))
     pop = ga.Population(members=np.concatenate([p.members for p in pops]),
                         energies=np.concatenate([p.energies for p in pops]))
     model = spin_systems.replica_evaluator(disorders)
@@ -382,30 +387,17 @@ def _run_replicas(cfg: ExperimentConfig):
                     block_draws = ga.draw_generations(rngs, cfg.ga)
                 pop = ga.step_generation(pop, cfg.ga, model, block_draws[g])
             except Exception as exc:   # noqa: BLE001 - the batch fails as one
-                failures += [(ids[k], _failure(exc)) for k in np.flatnonzero(live)]
-                live[:] = False
-                break
+                failures += [(r, _failure(exc)) for r in ids]
+                raise RuntimeError(f"all {len(failures)} replicas failed: {sorted(failures)}")
         energies = pop.energies.reshape(-1, m)
         u_ga[:, t] = energies.mean(axis=1)
         best[:, t] = energies.min(axis=1)
-        if not t:
-            continue   # generation 0's T and U(T) were set at start
-        for k in np.flatnonzero(live):
-            try:
-                temp[k, t] = learner.learner_step(float(temp[k, t - 1]), cfg.learning_rate,
-                                                  float(u_ga[k, t]), float(u_gibbs[k, t - 1]))
-                u_gibbs[k, t] = oracles[k].energy(float(temp[k, t]))
-            except Exception as exc:   # noqa: BLE001 - replica isolation is the contract
-                failures.append((ids[k], _failure(exc)))
-                live[k] = False
-        if not live.any():
-            break
 
-    failures.sort()
-    if not live.any():
-        raise RuntimeError(f"all {cfg.replicas} replicas failed: {failures}")
-    return (temp[live], u_ga[live], u_gibbs[live], best[live],
-            [grounds[k] for k in np.flatnonzero(live)], failures)
+    kept, schedules = _each_replica(ids, lambda k: learner.learn_schedule(
+        u_ga[k], cfg.t0, cfg.learning_rate, _build_oracle(cfg, disorders[k])), failures)
+    temp, u_gibbs = (np.stack(column) for column in zip(*schedules))
+    return ([ids[k] for k in kept], temp, u_ga[kept], u_gibbs, best[kept],
+            [grounds[k] for k in kept], sorted(failures))
 
 
 def _fit_or_reason(fit):
@@ -428,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> RunSummary:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(serialize_config(cfg))
 
-    temp, u_ga, u_gibbs, best, grounds, failures = _run_replicas(cfg)
+    ids, temp, u_ga, u_gibbs, best, grounds, failures = _run_replicas(cfg)
 
     times = np.arange(cfg.generations + 1, dtype=np.float64)
     t_mean, t_err = learner.disorder_averaged_trajectory(temp)
@@ -463,8 +455,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> RunSummary:
         ground_energies=grounds, fits=fits, replica_failures=failures, output_dir=out,
     )
 
-    ok_replicas = [r for r in range(cfg.replicas) if r not in [f[0] for f in failures]]
-    for row_idx, r in enumerate(ok_replicas):
+    for row_idx, r in enumerate(ids):
         write_table(out / f"replica_{r:02d}.tsv",
                     ["t", "temperature", "u_ga", "u_gibbs", "best_energy"],
                     [times, temp[row_idx], u_ga[row_idx], u_gibbs[row_idx], best[row_idx]])

@@ -323,9 +323,3 @@ def step_generation(pop: Population, params: GAParams, model: BlockEvaluator,
     crossed = crossover(selected, params.crossover_rate, draws, model)
     return mutate(crossed, draws, model)
 
-
-def empirical_energy(pop: Population) -> float:
-    """Population-average energy: the empirical counterpart of the Gibbs mean."""
-    if pop.size == 0:
-        raise ValueError("population is empty")
-    return float(np.mean(pop.energies))

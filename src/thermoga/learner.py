@@ -9,7 +9,7 @@ energy drives the forward-Euler update
 one `learner_step` per GA generation.  A population colder than the
 current Gibbs model (U_pop < U(T)) therefore lowers T, and the update is
 stationary exactly when the two energies agree.  The floor `T_FLOOR` keeps T
-positive whatever the energies do.
+positive whatever the energies do; a NaN update is an error, not the floor.
 
 An `EnergyOracle` is nothing but the map T -> U(T); the builders below fix
 everything else, the analytic ones through `analytic`'s one quadrature
@@ -64,7 +64,21 @@ def learner_step(t: float, eta: float, u_ga: float, u_model: float) -> float:
     """
     if not (math.isfinite(u_ga) and math.isfinite(u_model)):
         raise DomainError("population and model energies must be finite")
-    return max(T_FLOOR, t - eta * t * t * (u_model - u_ga))
+    t_next = t - eta * t * t * (u_model - u_ga)
+    if math.isnan(t_next):
+        raise DomainError(f"the learner step from T = {t} at eta = {eta} is NaN")
+    return max(T_FLOOR, t_next)
+
+
+def learn_schedule(u_ga, t0: float, eta: float,
+                   oracle: EnergyOracle) -> tuple[np.ndarray, np.ndarray]:
+    """T(t) and U(T(t)) along population energies u_ga(t): T(0) = t0, then one
+    `learner_step` towards each later u_ga[t], with one oracle call per entry."""
+    temperature, u_model = [t0], [oracle.energy(t0)]
+    for u in u_ga[1:]:
+        temperature.append(learner_step(temperature[-1], eta, float(u), u_model[-1]))
+        u_model.append(oracle.energy(temperature[-1]))
+    return np.array(temperature), np.array(u_model)
 
 
 def match_temperature(u_ga: float, oracle: EnergyOracle,

@@ -28,6 +28,12 @@ def tiny_chain_config(out, generations=5, replicas=2, name="tiny"):
     )
 
 
+def drop_line(text, key):
+    """Config text without the line that sets `key`."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(f"{key} = "))
+
+
 class TestConfigSerialization:
     def test_all_presets_round_trip(self):
         for name in experiment.list_presets():
@@ -257,6 +263,19 @@ class TestStartTemperature:
         assert "t0" in capsys.readouterr().err
         assert not (tmp_path / "cold").exists()
 
+    @pytest.mark.parametrize("key", ["t0", "learning_rate"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_learner_setting_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = tiny_chain_config(tmp_path / "out")
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(cfg, **{key: float(value)})
+        path = tmp_path / "bad.ini"
+        path.write_text(experiment.serialize_config(cfg).replace(
+            f"{key} = {getattr(cfg, key)!r}", f"{key} = {value}"))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 # ---------------------------------------------------------------------------
 # reference: one replica run on its own with plain loops, drawing from the replica's
@@ -362,7 +381,7 @@ def reference_replica(cfg, replica):
     temp, u_ga, u_gibbs, best = (np.empty(rows) for _ in range(4))
     t_learned = cfg.t0
     temp[0] = t_learned
-    u_ga[0] = tg.empirical_energy(pop)
+    u_ga[0] = float(np.mean(pop.energies))
     u_gibbs[0] = oracle.energy(t_learned)
     best[0] = float(pop.energies.min())
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 3)))
@@ -376,7 +395,7 @@ def reference_replica(cfg, replica):
             selected = reference_boltzmann_select(pop, cfg.ga.boltzmann_beta, draws)
         crossed = reference_crossover(selected, cfg.ga.crossover_rate, draws, model)
         pop = reference_mutate(crossed, draws, model)
-        u_meas = tg.empirical_energy(pop)
+        u_meas = float(np.mean(pop.energies))
         t_learned = tg.learner_step(t_learned, cfg.learning_rate, u_meas, float(u_gibbs[t - 1]))
         temp[t] = t_learned
         u_ga[t] = u_meas
@@ -462,6 +481,31 @@ class TestOracleCalls:
             experiment.run_experiment(
                 tiny_chain_config(out, generations=generations, replicas=replicas))
         assert [calls.count(r) for r in range(replicas)] == [generations + 1] * replicas
+
+
+class TestEvolveThenLearn:
+    """The learned T never acts on the GA: each schedule is learned after the run."""
+
+    def test_the_ga_does_not_read_the_learner(self, tmp_path):
+        a = experiment.run_experiment(tiny_chain_config(tmp_path / "a", replicas=3))
+        b = experiment.run_experiment(dataclasses.replace(
+            tiny_chain_config(tmp_path / "b", replicas=3), t0=0.7, learning_rate=3e-2))
+        assert np.array_equal(a.u_ga, b.u_ga)
+        assert np.array_equal(a.best_energy, b.best_energy)
+        assert not np.array_equal(a.temperature, b.temperature)
+
+    @pytest.mark.parametrize("model", [tg.ModelKind.CHAIN, tg.ModelKind.SK])
+    def test_schedule_is_learned_from_the_recorded_energies(self, tmp_path, model):
+        cfg = dataclasses.replace(
+            tiny_chain_config(tmp_path, generations=2 * G + 3, replicas=3),
+            disorder=tg.DisorderParams(0.0, 1.0, model), oracle=None)
+        summary = experiment.run_experiment(cfg)
+        for k in range(cfg.replicas):
+            oracle = experiment._build_oracle(cfg, experiment._build_disorder(cfg, k))
+            temperature, u_model = tg.learn_schedule(summary.u_ga[k], cfg.t0,
+                                                     cfg.learning_rate, oracle)
+            assert np.array_equal(summary.temperature[k], temperature)
+            assert np.array_equal(summary.u_gibbs[k], u_model)
 
 
 class TestReplicaFailures:
@@ -557,8 +601,8 @@ class TestMidRunFailures:
         assert np.array_equal(summary.temperature, clean.temperature[[0, 2]])
 
     def test_failures_listed_by_replica_index(self, tmp_path):
-        # replica 2 fails at generation 1 and replica 0 at generation 4; then replica 0
-        # fails at set-up, never joining the batch, and replica 2 at generation 3
+        # replica 2's learner fails at generation 1 and replica 0's at generation 4;
+        # then replica 0's oracle fails at T0, and replica 2's learner at generation 3
         clean = tmp_path / "clean" / "replica_01.tsv"
         experiment.run_experiment(tiny_chain_config(clean.parent, replicas=3))
         for case, calls_before_failure in enumerate(({2: 1, 0: 4}, {0: 0, 2: 3})):
@@ -587,8 +631,9 @@ class TestMidRunFailures:
         self.assert_survivors_as_clean(tmp_path, 5)
 
     def test_kernel_failure_fails_every_live_replica(self, tmp_path, monkeypatch):
-        # replica 1's oracle fails at generation 1; the batched mutation then
-        # raises at generation 3, which no single replica can be blamed for
+        # the batched mutation raises at generation 3, which no single replica can
+        # be blamed for; the learners run after the GA, so replica 1's oracle,
+        # set to fail at generation 1, is never reached
         original, calls = ga.mutate, []
 
         def mutate(*args):
@@ -602,7 +647,7 @@ class TestMidRunFailures:
             self.run_failing(tmp_path / "f", {1: 1})
         assert str(err.value) == (
             "all 3 replicas failed: [(0, 'FloatingPointError: injected'), "
-            "(1, 'ConvergenceError: RS fixed point did not converge'), "
+            "(1, 'FloatingPointError: injected'), "
             "(2, 'FloatingPointError: injected')]")
 
 
@@ -698,10 +743,23 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[run]\nkind = campaign\nname = x\nmodel = chain\nn = -3\n")
         assert cli.main(["run", str(path)]) != 0
-        for key, text in (("n", "[run]\nname = x\nmodel = chain\n"),
-                          ("model", "[run]\nname = x\nn = 8\n")):
+        campaign = experiment.serialize_config(tiny_chain_config(tmp_path / "out"))
+        curve = experiment.serialize_config(experiment.preset_configs("fg1", desk=True)[0][1])
+        suite = "[run]\nkind = oracle_suite\nname = s\nseed = 1\n"
+        cases = [("n", "run", "[run]\nname = x\nmodel = chain\n"),
+                 ("model", "run", "[run]\nname = x\nn = 8\n")]
+        cases += [(key, section, drop_line(campaign, key)) for section, key in (
+            ("run", "name"), ("run", "seed"), ("run", "generations"), ("run", "replicas"),
+            ("run", "t0"), ("run", "learning_rate"), ("ga", "population_size"),
+            ("disorder", "mean"), ("disorder", "std"))]
+        cases += [(key, section, drop_line(curve, key)) for section, key in (
+            ("run", "n"), ("run", "temperatures"), ("run", "realizations"), ("disorder", "std"))]
+        cases += [(key, "run", drop_line(suite, key)) for key in ("name", "seed")]
+        cases.append(("mean", "disorder", campaign[:campaign.index("[disorder]")]))
+        for key, section, text in cases:
             capsys.readouterr()
             path.write_text(text)
             assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
             assert capsys.readouterr().err == (
-                f"config error: missing required key {key!r} in [run]\n")
+                f"config error: missing required key {key!r} in [{section}]\n")
+        assert not (tmp_path / "out").exists()

@@ -42,6 +42,57 @@ class TestLearnerStep:
         with pytest.raises(DomainError):
             tg.learner_step(1.0, 1e-3, float("nan"), 0.0)
 
+    @pytest.mark.parametrize("t, eta, u_ga, u_model", [
+        (float("inf"), 1e-3, -2.0, -1.0),    # inf - inf
+        (2.0, float("inf"), -1.0, -1.0),     # inf * 0
+    ])
+    def test_nan_update_rejected_not_floored(self, t, eta, u_ga, u_model):
+        # max(T_FLOOR, nan) is T_FLOOR: a NaN must not pass for a cold schedule
+        with pytest.raises(DomainError, match="NaN"):
+            tg.learner_step(t, eta, u_ga, u_model)
+
+
+class TestLearnSchedule:
+    U_GA = np.array([7.0, -20.0, -25.0, -31.5, -30.0, -40.25])
+
+    @staticmethod
+    def counting_oracle(calls):
+        oracle = tg.analytic_chain_oracle(50, CHAIN_01)
+        return tg.EnergyOracle(evaluator=lambda T: calls.append(T) or oracle.energy(T))
+
+    def test_matches_a_hand_loop_bit_for_bit(self):
+        oracle = tg.analytic_sk_oracle(40, SK_01)   # warm-started: call order matters
+        temperature, u_model = tg.learn_schedule(self.U_GA, 3.0, 2e-3, oracle)
+        hand = tg.analytic_sk_oracle(40, SK_01)
+        t, u = 3.0, hand.energy(3.0)
+        want_t, want_u = [t], [u]
+        for u_ga in self.U_GA[1:]:
+            t = tg.learner_step(t, 2e-3, float(u_ga), u)
+            u = hand.energy(t)
+            want_t.append(t)
+            want_u.append(u)
+        assert np.array_equal(temperature, want_t)
+        assert np.array_equal(u_model, want_u)
+
+    def test_one_oracle_call_per_entry(self):
+        calls = []
+        temperature, _ = tg.learn_schedule(self.U_GA, 3.0, 2e-3, self.counting_oracle(calls))
+        assert calls == list(temperature)
+
+    def test_zero_learning_rate_keeps_t0(self):
+        temperature, u_model = tg.learn_schedule(self.U_GA, 3.0, 0.0, self.counting_oracle([]))
+        assert np.all(temperature == 3.0)
+        assert np.all(u_model == u_model[0])
+
+    def test_non_finite_energy_raises(self):
+        u_ga = self.U_GA.copy()
+        u_ga[3] = float("nan")
+        with pytest.raises(DomainError, match="finite"):
+            tg.learn_schedule(u_ga, 3.0, 2e-3, self.counting_oracle([]))
+        with pytest.raises(DomainError, match="not finite"):
+            tg.learn_schedule(self.U_GA, 3.0, 2e-3,
+                              tg.EnergyOracle(evaluator=lambda T: float("inf")))
+
 
 class TestMatchTemperature:
     def test_inverts_forward_map(self):
