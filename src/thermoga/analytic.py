@@ -82,7 +82,11 @@ _u_panel_cache: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _u_panel():
-    """Gauss-Legendre nodes/weights on (0, 20] for the localized u-integrals."""
+    """Gauss-Legendre nodes/weights on (0, 20] for the localized u-integrals.
+
+    Built on first use, never at import: only low temperatures need it, and
+    the eigen-solve in `leggauss(400)` would otherwise add to every import.
+    """
     global _u_panel_cache
     if _u_panel_cache is None:
         x, w = leggauss(_U_PANEL_NODES)
@@ -123,16 +127,21 @@ def gaussian_mean_abs(mean: float, std: float) -> float:
     return float(std * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * r * r) + mean * (1.0 - 2.0 * erfcc(r)))
 
 
+def _u_substitution(beta: float, a: float, b: float):
+    """Panel nodes u and weights, and the density phi(z) at z = (+-u/beta - b)/a,
+    for integrals rewritten with u = beta*(a z + b)."""
+    un, uw = _u_panel()
+    return un, uw, _phi((un / beta - b) / a), _phi((-un / beta - b) / a)
+
+
 def _expect_tanh(beta: float, a: float, b: float) -> float:
     """int Dz tanh(beta*(a z + b)) for a >= 0, robust for all beta."""
     if beta * a <= _BETA_A_SPLIT:
         return _gauss(lambda z: np.tanh(beta * (a * z + b)))
-    un, uw = _u_panel()
-    zp = (un / beta - b) / a
-    zm = (-un / beta - b) / a
+    un, uw, phi_p, phi_m = _u_substitution(beta, a, b)
     dev = np.tanh(un) - 1.0                     # tanh(u)-sgn(u) on u > 0
     base = 1.0 - 2.0 * float(erfcc(b / a))      # int Dz sgn(a z + b)
-    corr = float(np.sum(uw * (_phi(zp) * dev - _phi(zm) * dev))) / (beta * a)
+    corr = float(np.sum(uw * (phi_p * dev - phi_m * dev))) / (beta * a)
     return base + corr
 
 
@@ -140,11 +149,8 @@ def _expect_sech2(beta: float, a: float, b: float) -> float:
     """int Dz sech^2(beta*(a z + b)) for a >= 0, robust for all beta."""
     if beta * a <= _BETA_A_SPLIT:
         return _gauss(lambda z: _sech2(beta * (a * z + b)))
-    un, uw = _u_panel()
-    zp = (un / beta - b) / a
-    zm = (-un / beta - b) / a
-    sc = _sech2(un)
-    return float(np.sum(uw * (_phi(zp) + _phi(zm)) * sc)) / (beta * a)
+    un, uw, phi_p, phi_m = _u_substitution(beta, a, b)
+    return float(np.sum(uw * (phi_p + phi_m) * _sech2(un))) / (beta * a)
 
 
 def _expect_tanh2(beta: float, a: float, b: float) -> float:
@@ -157,24 +163,22 @@ def _expect_log2cosh(beta: float, a: float, b: float) -> float:
         return _gauss(lambda z: _log2cosh(beta * (a * z + b)))
     # |v| part has the exact Gaussian mean-absolute form; the soft remainder
     # log(1+e^{-2|v|}) is localized and handled on the u-panel.
-    un, uw = _u_panel()
-    zp = (un / beta - b) / a
-    zm = (-un / beta - b) / a
+    un, uw, phi_p, phi_m = _u_substitution(beta, a, b)
     soft = np.log1p(np.exp(-2.0 * un))
-    corr = float(np.sum(uw * (_phi(zp) + _phi(zm)) * soft)) / (beta * a)
+    corr = float(np.sum(uw * (phi_p + phi_m) * soft)) / (beta * a)
     return beta * a * gaussian_mean_abs(b / a, 1.0) + corr
 
 
 def chain_free_energy_density(T: float, params: DisorderParams) -> float:
     """log Z per spin of the chain: int Dx log 2 cosh beta*(J0 + J x)."""
-    if T <= 0:
+    if not T > 0:
         raise DomainError("temperature must be positive")
     return _expect_log2cosh(1.0 / T, params.std, params.mean)
 
 
 def chain_internal_energy(T: float, params: DisorderParams) -> float:
     """Chain internal energy per spin at temperature T (equals -df/dbeta)."""
-    if T <= 0:
+    if not T > 0:
         raise DomainError("temperature must be positive")
     beta = 1.0 / T
     j0, j = params.mean, params.std
@@ -258,7 +262,7 @@ def sk_rs_fixed_point(
     plain iteration, which converges only onto stable roots.  The starting
     point is `rs_starting_point(T, params, initial)`.
     """
-    if T <= 0:
+    if not T > 0:
         raise DomainError("temperature must be positive")
     beta = 1.0 / T
     j0, j = params.mean, params.std
@@ -300,7 +304,7 @@ def sk_rs_fixed_point(
 
 def sk_internal_energy_density(T: float, params: DisorderParams, rs: RSOrderParams) -> float:
     """U/N = -(J0/2) m^2 - (beta J^2 / 2)(1 - q^2) at beta = 1/T."""
-    if T <= 0:
+    if not T > 0:
         raise DomainError("temperature must be positive")
     if abs(rs.temperature - T) > 1e-12 * max(1.0, abs(T)):
         raise TemperatureMismatchError(

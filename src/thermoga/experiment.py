@@ -20,11 +20,12 @@ the disorder average is taken over the survivors.
 
 A campaign config states each setting once: its system size `n` and its
 `model` are read from `ga.genome_length` and `disorder.model`.  Config
-files are flat two-level INI text (sections [run], [ga], [disorder]); a
-key left out takes its dataclass default, and a section or key the
-config's kind does not define is an error.  Presets cover the standard
-figure-style experiments for both models plus the MCMC-versus-exact
-internal-energy curve and a small-size cross-oracle suite.  Desk variants
+files are flat two-level INI text (sections [run], [ga], [disorder]),
+written and read through one table of each kind's keys; a key left out
+takes its dataclass default, and a section or key the config's kind does
+not define is an error.  Presets cover the standard figure-style
+experiments for both models plus the MCMC-versus-exact internal-energy
+curve and a small-size cross-oracle suite.  Desk variants
 shrink the system size for fast runs on a laptop while keeping every other
 parameter.  `run_config` runs a config of any of these kinds; `run_preset`
 and every CLI verb go through it.
@@ -119,7 +120,7 @@ class McmcCurveConfig:
     def __post_init__(self):
         if self.n < 2 or self.realizations < 1 or not self.temperatures:
             raise ValueError("need n >= 2, realizations >= 1 and a temperature grid")
-        if any(t <= 0 for t in self.temperatures):
+        if not all(t > 0 for t in self.temperatures):
             raise DomainError("temperatures must be positive")
 
 
@@ -152,85 +153,66 @@ class RunSummary:
 # ---------------------------------------------------------------------------
 # config serialization (flat INI, two levels)
 
-def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def serialize_config(cfg) -> str:
-    parser = configparser.ConfigParser()
-    if isinstance(cfg, ExperimentConfig):
-        parser["run"] = {
-            "kind": "campaign",
-            "name": cfg.name,
-            "model": cfg.model.value,
-            "n": _fmt(cfg.n),
-            "generations": _fmt(cfg.generations),
-            "replicas": _fmt(cfg.replicas),
-            "seed": _fmt(cfg.seed),
-            "t0": _fmt(cfg.t0),
-            "learning_rate": _fmt(cfg.learning_rate),
-            "oracle": cfg.oracle,
-            "sk_pair_convention": cfg.sk_pair_convention,
-        }
-        if cfg.output_dir is not None:
-            parser["run"]["output_dir"] = str(cfg.output_dir)
-        parser["ga"] = {
-            "population_size": _fmt(cfg.ga.population_size),
-            "tournament_size": _fmt(cfg.ga.tournament_size),
-            "crossover_rate": _fmt(cfg.ga.crossover_rate),
-            "mutation_rate": _fmt(cfg.ga.mutation_rate),
-            "selection_mode": cfg.ga.selection_mode,
-            "boltzmann_beta": _fmt(cfg.ga.boltzmann_beta),
-        }
-        parser["disorder"] = {"mean": _fmt(cfg.disorder.mean), "std": _fmt(cfg.disorder.std)}
-    elif isinstance(cfg, McmcCurveConfig):
-        parser["run"] = {
-            "kind": "mcmc_curve",
-            "name": cfg.name,
-            "n": _fmt(cfg.n),
-            "temperatures": ", ".join(repr(float(t)) for t in cfg.temperatures),
-            "realizations": _fmt(cfg.realizations),
-            "seed": _fmt(cfg.seed),
-            "sweeps": _fmt(cfg.options.sweeps),
-            "burn_in": _fmt(cfg.options.burn_in),
-            "thinning": _fmt(cfg.options.thinning),
-            "chains": _fmt(cfg.options.chains),
-        }
-        if cfg.output_dir is not None:
-            parser["run"]["output_dir"] = str(cfg.output_dir)
-        parser["disorder"] = {"mean": _fmt(cfg.disorder.mean), "std": _fmt(cfg.disorder.std)}
-    elif isinstance(cfg, OracleSuiteConfig):
-        parser["run"] = {"kind": "oracle_suite", "name": cfg.name, "seed": _fmt(cfg.seed)}
-        if cfg.output_dir is not None:
-            parser["run"]["output_dir"] = str(cfg.output_dir)
-    else:
-        raise TypeError(f"cannot serialize {type(cfg).__name__}")
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
-
-
-# the keys each config kind reads, by section, and how each value is read;
-# a key left out takes the default of the dataclass it belongs to
-_COMMON_RUN = {"kind": str, "name": str, "seed": int, "output_dir": str}
+# the keys of each config kind by section, in file order, and how each value is read;
+# a key left out takes the default of the dataclass it belongs to.  A [run] key is the
+# config's attribute of that name, except an mcmc_curve's sampler keys, which are
+# those of its `options`; a key of any other section is a field of the attribute
+# named after the section (`cfg.ga`, `cfg.disorder`)
+_SAMPLER = {"sweeps": int, "burn_in": int, "thinning": int, "chains": int}
 _DISORDER = {"mean": float, "std": float}
 _SCHEMAS = {
     "campaign": {
-        "run": {"model": ModelKind, "n": int, **_COMMON_RUN, "generations": int,
-                "replicas": int, "t0": float, "learning_rate": float, "oracle": str,
-                "sk_pair_convention": str},
+        "run": {"kind": str, "name": str, "model": ModelKind, "n": int, "generations": int,
+                "replicas": int, "seed": int, "t0": float, "learning_rate": float,
+                "oracle": str, "sk_pair_convention": str, "output_dir": str},
         "ga": {"population_size": int, "tournament_size": int, "crossover_rate": float,
                "mutation_rate": float, "selection_mode": str, "boltzmann_beta": float},
         "disorder": _DISORDER,
     },
     "mcmc_curve": {
-        "run": {**_COMMON_RUN, "n": int, "realizations": int,
+        "run": {"kind": str, "name": str, "n": int,
                 "temperatures": lambda text: tuple(float(x) for x in text.split(",")),
-                "sweeps": int, "burn_in": int, "thinning": int, "chains": int},
+                "realizations": int, "seed": int, **_SAMPLER, "output_dir": str},
         "disorder": _DISORDER,
     },
-    "oracle_suite": {"run": _COMMON_RUN},
+    "oracle_suite": {"run": {"kind": str, "name": str, "seed": int, "output_dir": str}},
 }
+_KINDS = {ExperimentConfig: "campaign", McmcCurveConfig: "mcmc_curve",
+          OracleSuiteConfig: "oracle_suite"}
+
+
+def _field_text(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, ModelKind):
+        return value.value
+    if isinstance(value, tuple):
+        return ", ".join(repr(float(t)) for t in value)
+    return str(value)
+
+
+def serialize_config(cfg) -> str:
+    """The config file text of `cfg`: its kind's `_SCHEMAS` keys in order, a None value left out."""
+    kind = _KINDS.get(type(cfg))
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(cfg).__name__}")
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, keys in _SCHEMAS[kind].items():
+        parser[section] = {}
+        for key in keys:
+            if key == "kind":
+                value = kind
+            elif section != "run":
+                value = getattr(getattr(cfg, section), key)
+            else:
+                value = getattr(cfg.options if key in _SAMPLER else cfg, key)
+            if value is not None:
+                parser[section][key] = _field_text(value)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
 # the keys whose dataclass field has no default, in whichever kind and section
 _REQUIRED = {"name", "seed", "model", "n", "generations", "replicas", "t0", "learning_rate",
              "population_size", "mean", "std", "temperatures", "realizations"}
@@ -238,7 +220,7 @@ _REQUIRED = {"name", "seed", "model", "n", "generations", "replicas", "t0", "lea
 
 def parse_config(text: str):
     """The config of a file's text; a section or key its kind does not define is an error."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text)
     kind = parser.get("run", "kind", fallback="campaign")
     if kind not in _SCHEMAS:
@@ -261,8 +243,7 @@ def parse_config(text: str):
     if kind == "oracle_suite":
         return OracleSuiteConfig(**run)
     if kind == "mcmc_curve":
-        options = {key: run.pop(key) for key in ("sweeps", "burn_in", "thinning", "chains")
-                   if key in run}
+        options = {key: run.pop(key) for key in _SAMPLER if key in run}
         return McmcCurveConfig(
             **run, options=mcmc.MCMCOptions(**options),
             disorder=DisorderParams(**values["disorder"], model=ModelKind.CHAIN))

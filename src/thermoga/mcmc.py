@@ -147,7 +147,7 @@ def _walk(s: np.ndarray, d, T: float, rngs, sweeps: int,
 
 def metropolis_sweep(s, d, T: float, seed) -> np.ndarray:
     """One Metropolis sweep (N single-site proposals); returns a new configuration."""
-    if T <= 0:
+    if not T > 0:
         raise DomainError("temperature must be positive")
     out = np.array(s, dtype=np.int8)
     _walk(out[None, :], d, T, [np.random.default_rng(seed)], 1)
@@ -166,7 +166,7 @@ def estimate_internal_energy(d, T: float, opts: MCMCOptions, seed) -> tuple[floa
     long.  Hot walkers (near-certain acceptance freezes the bond variables;
     the equilibrium is uniform) start at random, as do SK walkers.
     """
-    if T <= 0:
+    if not T > 0:
         raise DomainError("temperature must be positive")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # child i as `ss.spawn` gives it on a fresh `ss`; `ss` itself is not advanced
@@ -188,7 +188,7 @@ def exact_gibbs_expectation(d, T: float) -> tuple[float, float]:
 
     Z can overflow to inf for very low temperatures; U stays finite.
     """
-    if T <= 0:
+    if not T > 0:
         raise DomainError("temperature must be positive")
     _, energies = enumerate_landscape(d)
     beta = 1.0 / T

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     DegenerateDisorderError,
     DimensionMismatchError,
+    DomainError,
     InvalidSizeError,
     SizeCapError,
 )
@@ -59,6 +60,8 @@ class DisorderParams:
 
     def __post_init__(self):
         object.__setattr__(self, "model", ModelKind(self.model))
+        if not (np.isfinite(self.mean) and np.isfinite(self.std)):
+            raise DomainError("coupling mean and std must be finite")
         if self.std < 0:
             raise DegenerateDisorderError("coupling std must be nonnegative")
         if self.std == 0 and self.mean == 0:

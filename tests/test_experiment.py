@@ -48,6 +48,31 @@ class TestConfigSerialization:
         path.write_text(experiment.serialize_config(cfg))
         assert experiment.load_config(path) == cfg
 
+    def test_percent_is_literal(self, tmp_path):
+        cfg = tiny_chain_config(tmp_path / "runs%1", name="run%(x)s 50%")
+        text = experiment.serialize_config(cfg)
+        assert "name = run%(x)s 50%\n" in text
+        assert experiment.parse_config(text) == cfg
+
+    def test_written_bytes(self):
+        campaign = experiment.serialize_config(tiny_chain_config("runs/tiny"))
+        assert campaign == (
+            "[run]\nkind = campaign\nname = tiny\nmodel = chain\nn = 30\ngenerations = 5\n"
+            "replicas = 2\nseed = 9001\nt0 = 5.0\nlearning_rate = 0.0001\n"
+            "oracle = analytic_chain\nsk_pair_convention = ordered\noutput_dir = runs/tiny\n\n"
+            "[ga]\npopulation_size = 12\ntournament_size = 2\ncrossover_rate = 0.2\n"
+            "mutation_rate = 0.01\nselection_mode = tournament\nboltzmann_beta = 0.0\n\n"
+            "[disorder]\nmean = 0.0\nstd = 1.0\n\n")
+        [(_, curve)] = experiment.preset_configs("fg1", desk=True)
+        assert experiment.serialize_config(curve) == (
+            "[run]\nkind = mcmc_curve\nname = fg1\nn = 300\n"
+            "temperatures = 0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 1.6, 2.0, 2.4, 3.0\n"
+            "realizations = 4\nseed = 190\nsweeps = 800\nburn_in = 200\nthinning = 3\n"
+            "chains = 4\n\n[disorder]\nmean = 0.0\nstd = 1.0\n\n")
+        [(_, suite)] = experiment.preset_configs("oracle-small-n", desk=True)
+        assert experiment.serialize_config(suite) == (
+            "[run]\nkind = oracle_suite\nname = oracle-small-n\nseed = 424242\n\n")
+
     def test_listing_contains_figure_presets(self):
         names = experiment.list_presets()
         assert "fg1D" in names
@@ -272,6 +297,21 @@ class TestStartTemperature:
         path = tmp_path / "bad.ini"
         path.write_text(experiment.serialize_config(cfg).replace(
             f"{key} = {getattr(cfg, key)!r}", f"{key} = {value}"))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["mean", "std"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_disorder_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = tiny_chain_config(tmp_path / "out")
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(cfg.disorder, **{key: float(value)})
+        text = experiment.serialize_config(cfg)
+        line = f"{key} = {getattr(cfg.disorder, key)!r}\n"
+        assert text.count(line) == 1
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(line, f"{key} = {value}\n"))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -707,6 +747,18 @@ class TestCli:
         path.write_text(experiment.serialize_config(cfg))
         assert cli.main(["run", str(path)]) == 0
         assert (tmp_path / "cli-run" / "temperature.tsv").exists()
+
+    def test_run_verb_with_percent_in_values(self, tmp_path, capsys):
+        out = tmp_path / "run%1"
+        text = ("[run]\nname = run%1\nmodel = chain\nn = 20\ngenerations = 2\nreplicas = 1\n"
+                f"seed = 3\nt0 = 5.0\nlearning_rate = 1e-4\noutput_dir = {out}\n\n"
+                "[ga]\npopulation_size = 8\n\n[disorder]\nmean = 0.0\nstd = 1.0\n")
+        path = tmp_path / "percent.ini"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        written = experiment.load_config(out / "config.ini")
+        assert (written.name, written.output_dir) == ("run%1", str(out))
 
     def test_oracle_check_output_dir_follows_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(experiment.ENV_OUTPUT_DIR, str(tmp_path / "env"))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermoga as tg
-from thermoga import mcmc
+from thermoga import analytic, experiment, mcmc
 from thermoga.errors import DomainError, SizeCapError
 from thermoga.mcmc import _walk
 
@@ -72,6 +72,28 @@ class TestMetropolisSweep:
         d = tg.sample_chain_disorder(10, CHAIN_01, 8)
         with pytest.raises(DomainError):
             tg.metropolis_sweep(np.ones(10, dtype=np.int8), d, 0.0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda T: tg.metropolis_sweep(np.ones(10, dtype=np.int8),
+                                  tg.sample_chain_disorder(10, CHAIN_01, 8), T, 1),
+    lambda T: tg.estimate_internal_energy(tg.sample_chain_disorder(10, CHAIN_01, 8), T,
+                                          tg.MCMCOptions(sweeps=20, burn_in=5, thinning=1,
+                                                         chains=2), 1),
+    lambda T: tg.exact_gibbs_expectation(tg.sample_sk_disorder(6, SK_01, 8), T),
+    lambda T: analytic.chain_free_energy_density(T, CHAIN_01),
+    lambda T: analytic.chain_internal_energy(T, CHAIN_01),
+    lambda T: analytic.sk_rs_fixed_point(T, SK_01),
+    lambda T: analytic.sk_internal_energy_density(T, SK_01, analytic.sk_rs_fixed_point(1.0, SK_01)),
+    lambda T: experiment.McmcCurveConfig(name="c", n=10, disorder=CHAIN_01,
+                                         temperatures=(T, 1.0), realizations=1,
+                                         options=tg.MCMCOptions(), seed=1),
+], ids=["metropolis_sweep", "estimate_internal_energy", "exact_gibbs_expectation",
+        "chain_free_energy_density", "chain_internal_energy", "sk_rs_fixed_point",
+        "sk_internal_energy_density", "McmcCurveConfig"])
+def test_nan_temperature_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="positive"):
+        call(float("nan"))
 
 
 class TestExactGibbs:
