@@ -76,7 +76,6 @@ from .mcmc import (
     estimate_internal_energy,
     exact_gibbs_expectation,
     metropolis_sweep,
-    sk_flip_costs,
 )
 from .spin_systems import (
     ChainDisorder,

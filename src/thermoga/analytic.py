@@ -30,8 +30,10 @@ out exact by construction.
 The Gauss-Hermite rule has 101 nodes, built once at import.  The RS
 equations are solved by Anderson-accelerated fixed-point iteration to a
 defect of `_RS_TOLERANCE` within `_RS_MAX_ITERATIONS` steps (see
-`sk_rs_fixed_point`).  Every model needs exactly this one rule and this one
-budget, so neither is a parameter.
+`sk_rs_fixed_point`) from one start fixed by the temperature: (0, 0) in the
+paramagnet, T > J and T > |J0|, where every SK preset solves, and
+(0.5*sgn(J0), 0.5) elsewhere.  Every model needs exactly this one rule,
+this one budget and this one start, so none of them is a parameter.
 
 All functions are pure.
 """
@@ -215,33 +217,16 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def rs_starting_point(T: float, params: DisorderParams,
-                      initial: tuple[float, float] | None) -> tuple[float, float]:
-    """Where `sk_rs_fixed_point` starts iterating at temperature T.
-
-    In the paramagnet, beta J < 1 and beta |J0| < 1, (0, 0) is the only root:
-    the warm start `initial` is used as it is, and (0, 0) without one.
-    Elsewhere the default is (0.5*sgn(J0), 0.5), and a warm start keeps its
-    values but is floored at |m| >= 0.5 (with the sign of J0) and q >= 0.25:
-    m = 0 and q = 0 are roots of the RS equations at every temperature, and a
-    warm start carried over from the paramagnet would otherwise sit on them
-    after the transition, where they are unstable.
-    """
-    j0, j = params.mean, params.std
-    if T > j and T > abs(j0):
-        return (0.0, 0.0) if initial is None else (initial[0], initial[1])
-    sign = float(np.sign(j0))
-    if initial is None:
-        return 0.5 * sign, 0.5
-    return sign * _clip(abs(initial[0]), 0.5, 1.0), _clip(initial[1], 0.25, 1.0)
-
-
-def sk_rs_fixed_point(
-    T: float,
-    params: DisorderParams,
-    initial: tuple[float, float] | None = None,
-) -> RSOrderParams:
+def sk_rs_fixed_point(T: float, params: DisorderParams) -> RSOrderParams:
     """Solve the RS equations of state by Anderson-accelerated iteration.
+
+    Every solve starts from one point fixed by (T, params) alone, so the
+    result is a function of T.  In the paramagnet, T > J and T > |J0|, the
+    start is (0, 0), which is the only root there, so the solve ends after
+    one iteration; every SK preset learns its temperatures there.  Elsewhere
+    the start is (0.5*sgn(J0), 0.5), away from the roots m = 0 and q = 0
+    that solve the equations at every temperature and are unstable below
+    the transition.
 
     The plain map x = (m, q) -> G(x) = (E tanh, E tanh^2) is mixed with the
     previous step (Anderson acceleration of depth 1, Walker & Ni 2011, SIAM
@@ -259,14 +244,16 @@ def sk_rs_fixed_point(
     iteration is repelled from.  The one such root it meets is m = 0 when
     J0 > 0 and beta J0 (1 - q) > 1 (the ferromagnetic instability), near the
     point J0 = J = T.  Reaching it, the solver restarts from m = 0.5 with
-    plain iteration, which converges only onto stable roots.  The starting
-    point is `rs_starting_point(T, params, initial)`.
+    plain iteration, which converges only onto stable roots.
     """
     if not T > 0:
         raise DomainError("temperature must be positive")
     beta = 1.0 / T
     j0, j = params.mean, params.std
-    m, q = rs_starting_point(T, params, initial)
+    if T > j and T > abs(j0):
+        m, q = 0.0, 0.0
+    else:
+        m, q = 0.5 * float(np.sign(j0)), 0.5
     prev = None
     mixing = True
     defect = math.inf

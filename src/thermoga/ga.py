@@ -75,8 +75,8 @@ class GAParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
-        if self.boltzmann_beta < 0:
-            raise ValueError("boltzmann_beta must be nonnegative")
+        if not 0.0 <= self.boltzmann_beta < math.inf:
+            raise ValueError("boltzmann_beta must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

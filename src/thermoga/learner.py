@@ -14,8 +14,9 @@ positive whatever the energies do; a NaN update is an error, not the floor.
 An `EnergyOracle` is nothing but the map T -> U(T); the builders below fix
 everything else, the analytic ones through `analytic`'s one quadrature
 rule and RS solver budget.  There are three: the chain's quenched average,
-the SK replica-symmetric energy and exact enumeration of one instance.  Each
-is deterministic, so the same T always gives the same U(T).
+the SK replica-symmetric energy and exact enumeration of one instance.  None
+keeps state between calls, so U(T) depends on T alone: the same T gives
+bitwise the same U(T), whatever was asked before.
 
 Both U(T) and U_pop are total (extensive) energies.  Oracles built from
 per-spin densities multiply by the system size here, in one place; mixing a
@@ -132,12 +133,10 @@ def analytic_chain_oracle(n: int, params: DisorderParams) -> EnergyOracle:
 
 
 def analytic_sk_oracle(n: int, params: DisorderParams) -> EnergyOracle:
-    """n times the RS internal energy per spin, warm-starting (m, q) across calls."""
-    warm = {"guess": None}
+    """n times the replica-symmetric internal energy per spin."""
 
     def evaluate(T: float) -> float:
-        rs = analytic.sk_rs_fixed_point(T, params, initial=warm["guess"])
-        warm["guess"] = (rs.m, rs.q)
+        rs = analytic.sk_rs_fixed_point(T, params)
         return n * analytic.sk_internal_energy_density(T, params, rs)
 
     return EnergyOracle(evaluator=evaluate)

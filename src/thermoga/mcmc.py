@@ -56,12 +56,6 @@ def chain_flip_costs(s: np.ndarray, d: ChainDisorder) -> np.ndarray:
     return 2.0 * s * f
 
 
-def sk_flip_costs(s: np.ndarray, d: SKDisorder) -> np.ndarray:
-    """Energy change 4 * d.energy_scale * s_k (C s)_k from flipping each site alone."""
-    s = np.asarray(s, dtype=np.float64)
-    return 4.0 * d.energy_scale * s * (d.couplings @ s)
-
-
 def _chain_halves(padded: np.ndarray, d: ChainDisorder) -> list[tuple[np.ndarray, ...]]:
     """Views for the two half-sweeps of a zero-padded (walkers, N + 2) chain state.
 

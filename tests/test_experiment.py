@@ -814,4 +814,12 @@ class TestCli:
             assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
             assert capsys.readouterr().err == (
                 f"config error: missing required key {key!r} in [{section}]\n")
+        # a NaN or infinite beta would make every Boltzmann slot copy member 0 of its block
+        boltzmann = campaign.replace("selection_mode = tournament", "selection_mode = boltzmann")
+        assert boltzmann.count("boltzmann_beta = 0.0\n") == 1
+        for value in ("nan", "inf"):
+            capsys.readouterr()
+            path.write_text(boltzmann.replace("boltzmann_beta = 0.0", f"boltzmann_beta = {value}"))
+            assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+            assert "boltzmann_beta must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -70,6 +70,11 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(crossover_rate=1.5)
 
+    @pytest.mark.parametrize("beta", [-1.0, float("nan"), float("inf")])
+    def test_boltzmann_beta_finite_and_nonnegative(self, beta):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            make_params(selection_mode="boltzmann", boltzmann_beta=beta)
+
 
 class TestInit:
     def test_shapes_and_values(self, chain_setup):

@@ -61,7 +61,7 @@ class TestLearnSchedule:
         return tg.EnergyOracle(evaluator=lambda T: calls.append(T) or oracle.energy(T))
 
     def test_matches_a_hand_loop_bit_for_bit(self):
-        oracle = tg.analytic_sk_oracle(40, SK_01)   # warm-started: call order matters
+        oracle = tg.analytic_sk_oracle(40, SK_01)
         temperature, u_model = tg.learn_schedule(self.U_GA, 3.0, 2e-3, oracle)
         hand = tg.analytic_sk_oracle(40, SK_01)
         t, u = 3.0, hand.energy(3.0)
@@ -166,13 +166,18 @@ class TestOracleFactories:
 
     def test_analytic_sk_oracle_matches_direct_solve(self):
         oracle = tg.analytic_sk_oracle(100, SK_01)
-        direct = 100 * tg.sk_internal_energy_density(
-            2.0, SK_01, tg.sk_rs_fixed_point(2.0, SK_01))
-        assert oracle.energy(2.0) == pytest.approx(direct, abs=1e-9)
-        # warm start across calls stays consistent
-        assert oracle.energy(1.8) == pytest.approx(
-            100 * tg.sk_internal_energy_density(1.8, SK_01, tg.sk_rs_fixed_point(1.8, SK_01)),
-            abs=1e-9)
+        for T in (2.0, 1.8, 0.5):
+            assert oracle.energy(T) == 100 * tg.sk_internal_energy_density(
+                T, SK_01, tg.sk_rs_fixed_point(T, SK_01))
+
+    @pytest.mark.parametrize("j0", [0.0, 2.0])
+    def test_analytic_sk_oracle_is_a_function_of_t_alone(self, j0):
+        params = tg.DisorderParams(j0, 1.0, tg.ModelKind.SK)
+        fresh = tg.analytic_sk_oracle(100, params).energy(0.5)
+        asked_before = tg.analytic_sk_oracle(100, params)
+        asked_before.energy(0.7)
+        asked_before.energy(0.3)
+        assert asked_before.energy(0.5) == fresh
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_energy_is_a_domain_error(self, value):

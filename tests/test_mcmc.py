@@ -27,20 +27,6 @@ class TestFlipCosts:
             flipped[k] = -flipped[k]
             assert costs[k] == pytest.approx(tg.energy_chain(flipped, d) - e0, abs=1e-12)
 
-    def test_sk_costs_match_recomputation(self):
-        rng = np.random.default_rng(1)
-        d = tg.sample_sk_disorder(12, SK_01, 11)
-        s = rng.integers(0, 2, 12) * 2 - 1
-        for conv in ("ordered", "unordered"):
-            dc = tg.SKDisorder(d.couplings, d.params, conv)
-            costs = tg.sk_flip_costs(s, dc)
-            e0 = tg.sk_energies(s[None], dc)[0]
-            for k in range(12):
-                flipped = s.copy()
-                flipped[k] = -flipped[k]
-                e1 = tg.sk_energies(flipped[None], dc)[0]
-                assert costs[k] == pytest.approx(e1 - e0, abs=1e-12)
-
 
 class TestMetropolisSweep:
     def test_infinite_temperature_accepts_everything(self):
