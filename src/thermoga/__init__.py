@@ -65,7 +65,6 @@ from .learner import (
     analytic_chain_oracle,
     analytic_sk_oracle,
     disorder_averaged_trajectory,
-    enumeration_oracle,
     learn_schedule,
     learner_step,
     match_temperature,

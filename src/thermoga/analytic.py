@@ -40,6 +40,7 @@ All functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,24 +81,19 @@ def _gauss(f) -> float:
     return float(_GH_WEIGHTS @ f(_GH_NODES))
 
 
-_u_panel_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-
+@functools.cache
 def _u_panel():
     """Gauss-Legendre nodes/weights on (0, 20] for the localized u-integrals.
 
     Built on first use, never at import: only low temperatures need it, and
     the eigen-solve in `leggauss(400)` would otherwise add to every import.
     """
-    global _u_panel_cache
-    if _u_panel_cache is None:
-        x, w = leggauss(_U_PANEL_NODES)
-        nodes = 0.5 * _U_PANEL_HALF * (x + 1.0)
-        weights = 0.5 * _U_PANEL_HALF * w
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        _u_panel_cache = (nodes, weights)
-    return _u_panel_cache
+    x, w = leggauss(_U_PANEL_NODES)
+    nodes = 0.5 * _U_PANEL_HALF * (x + 1.0)
+    weights = 0.5 * _U_PANEL_HALF * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def erfcc(x):

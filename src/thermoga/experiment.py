@@ -3,8 +3,11 @@
 A campaign runs R independent replicas.  Each replica draws its own
 disorder and initial population and evolves for the configured number of
 generations; then its temperature takes one learner step per generation
-towards the mean energy of the offspring.  Its random streams derive from the base
-seed and the replica index: one for its disorder, one for its initial
+towards the mean energy of the offspring.  The learner's U(T) is the
+model's quenched average, the chain quadrature or the SK replica-symmetric
+energy, since the GA is judged on average-case performance; no config key
+picks another.  A replica's random streams derive from the base seed and
+the replica index: one for its disorder, one for its initial
 population, and one generator, built once per run, from which the GA draws
 `ga.DRAW_BLOCK` generations at a time.  So a campaign is a pure function
 of its config.  The replicas advance in lockstep as the row blocks of one
@@ -52,7 +55,6 @@ from .errors import DomainError
 from .spin_systems import DisorderParams, ModelKind
 
 ENV_OUTPUT_DIR = "THERMOGA_OUTPUT_DIR"
-ORACLES = ("analytic_chain", "analytic_sk", "enumeration")
 
 # spawn-key slots per replica: disorder, initial population, and the one generator
 # from which `ga.draw_generations` draws every block of generations; 2 is unused
@@ -71,29 +73,17 @@ class ExperimentConfig:
     generations: int
     replicas: int
     seed: int
-    oracle: str | None = None        # None: the model's analytic oracle
     sk_pair_convention: str = spin_systems.SK_PAIR_CONVENTION
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.oracle is None:
-            object.__setattr__(self, "oracle", "analytic_chain" if self.model is ModelKind.CHAIN
-                               else "analytic_sk")
         if self.generations < 1 or self.replicas < 1:
             raise ValueError("generations and replicas must be at least 1")
         if not (learner.T_FLOOR <= self.t0 < np.inf and 0 <= self.learning_rate < np.inf):
             raise ValueError(f"t0 must be finite and at least learner.T_FLOOR = "
                              f"{learner.T_FLOOR}, and learning_rate finite and nonnegative")
-        if self.oracle not in ORACLES:
-            raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.sk_pair_convention not in spin_systems.SK_CONVENTIONS:
             raise ValueError(f"unknown pair convention {self.sk_pair_convention!r}")
-        if self.oracle == "enumeration" and self.n > spin_systems.LANDSCAPE_CAP:
-            raise ValueError("enumeration oracle only works for n <= 20")
-        if self.oracle == "analytic_chain" and self.model is not ModelKind.CHAIN:
-            raise ValueError("analytic_chain oracle requires the chain model")
-        if self.oracle == "analytic_sk" and self.model is not ModelKind.SK:
-            raise ValueError("analytic_sk oracle requires the SK model")
 
     @property
     def n(self) -> int:
@@ -164,7 +154,7 @@ _SCHEMAS = {
     "campaign": {
         "run": {"kind": str, "name": str, "model": ModelKind, "n": int, "generations": int,
                 "replicas": int, "seed": int, "t0": float, "learning_rate": float,
-                "oracle": str, "sk_pair_convention": str, "output_dir": str},
+                "sk_pair_convention": str, "output_dir": str},
         "ga": {"population_size": int, "tournament_size": int, "crossover_rate": float,
                "mutation_rate": float, "selection_mode": str, "boltzmann_beta": float},
         "disorder": _DISORDER,
@@ -303,12 +293,11 @@ def _build_evaluator(cfg: ExperimentConfig, disorder):
     return spin_systems.sk_evaluator(disorder)
 
 
-def _build_oracle(cfg: ExperimentConfig, disorder) -> learner.EnergyOracle:
-    if cfg.oracle == "analytic_chain":
+def _build_oracle(cfg: ExperimentConfig) -> learner.EnergyOracle:
+    """The model's quenched-average U(T): the learner's oracle is the same for every replica."""
+    if cfg.model is ModelKind.CHAIN:
         return learner.analytic_chain_oracle(cfg.n, cfg.disorder)
-    if cfg.oracle == "analytic_sk":
-        return learner.analytic_sk_oracle(cfg.n, cfg.disorder)
-    return learner.enumeration_oracle(disorder)
+    return learner.analytic_sk_oracle(cfg.n, cfg.disorder)
 
 
 def _start_replica(cfg: ExperimentConfig, replica: int):
@@ -375,7 +364,7 @@ def _run_replicas(cfg: ExperimentConfig):
         best[:, t] = energies.min(axis=1)
 
     kept, schedules = _each_replica(ids, lambda k: learner.learn_schedule(
-        u_ga[k], cfg.t0, cfg.learning_rate, _build_oracle(cfg, disorders[k])), failures)
+        u_ga[k], cfg.t0, cfg.learning_rate, _build_oracle(cfg)), failures)
     temp, u_gibbs = (np.stack(column) for column in zip(*schedules))
     return ([ids[k] for k in kept], temp, u_ga[kept], u_gibbs, best[kept],
             [grounds[k] for k in kept], sorted(failures))

@@ -234,10 +234,14 @@ def tournament_select(pop: Population, draws: Draws) -> Population:
 
 
 def boltzmann_weights(energies: np.ndarray, beta_s: float) -> np.ndarray:
-    """Normalized weights proportional to exp(-beta_s * E), max-shifted, along the last axis."""
-    x = -beta_s * np.asarray(energies, dtype=np.float64)
-    x -= x.max(axis=-1, keepdims=True)
-    w = np.exp(x)
+    """Normalized weights proportional to exp(-beta_s * E) along the last axis.
+
+    Energies are shifted by their minimum before scaling, so a huge finite
+    beta_s sends every other member's exponent to -inf (weight 0), never NaN.
+    """
+    e = np.asarray(energies, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta_s * (e - e.min(axis=-1, keepdims=True)))
     return w / w.sum(axis=-1, keepdims=True)
 
 

@@ -13,10 +13,11 @@ positive whatever the energies do; a NaN update is an error, not the floor.
 
 An `EnergyOracle` is nothing but the map T -> U(T); the builders below fix
 everything else, the analytic ones through `analytic`'s one quadrature
-rule and RS solver budget.  There are three: the chain's quenched average,
-the SK replica-symmetric energy and exact enumeration of one instance.  None
-keeps state between calls, so U(T) depends on T alone: the same T gives
-bitwise the same U(T), whatever was asked before.
+rule and RS solver budget.  There are two, one per model, and both are
+quenched averages: the chain's Gaussian quadrature and the SK
+replica-symmetric energy.  Neither keeps state between calls, so U(T)
+depends on T alone: the same T gives bitwise the same U(T), whatever was
+asked before.
 
 Both U(T) and U_pop are total (extensive) energies.  Oracles built from
 per-spin densities multiply by the system size here, in one place; mixing a
@@ -37,8 +38,7 @@ import numpy as np
 
 from . import analytic
 from .errors import DimensionMismatchError, DomainError, UnbracketableError
-from .mcmc import exact_gibbs_expectation
-from .spin_systems import ChainDisorder, DisorderParams, SKDisorder
+from .spin_systems import DisorderParams
 
 T_FLOOR = 1e-6   # the learned temperature never drops below this
 
@@ -138,14 +138,5 @@ def analytic_sk_oracle(n: int, params: DisorderParams) -> EnergyOracle:
     def evaluate(T: float) -> float:
         rs = analytic.sk_rs_fixed_point(T, params)
         return n * analytic.sk_internal_energy_density(T, params, rs)
-
-    return EnergyOracle(evaluator=evaluate)
-
-
-def enumeration_oracle(d: ChainDisorder | SKDisorder) -> EnergyOracle:
-    """Exact per-instance internal energy by full enumeration (small n only)."""
-
-    def evaluate(T: float) -> float:
-        return exact_gibbs_expectation(d, T)[0]
 
     return EnergyOracle(evaluator=evaluate)

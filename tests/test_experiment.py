@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ def tiny_chain_config(out, generations=5, replicas=2, name="tiny"):
         generations=generations,
         replicas=replicas,
         seed=9001,
-        oracle="analytic_chain",
         output_dir=str(out),
     )
 
@@ -59,7 +60,7 @@ class TestConfigSerialization:
         assert campaign == (
             "[run]\nkind = campaign\nname = tiny\nmodel = chain\nn = 30\ngenerations = 5\n"
             "replicas = 2\nseed = 9001\nt0 = 5.0\nlearning_rate = 0.0001\n"
-            "oracle = analytic_chain\nsk_pair_convention = ordered\noutput_dir = runs/tiny\n\n"
+            "sk_pair_convention = ordered\noutput_dir = runs/tiny\n\n"
             "[ga]\npopulation_size = 12\ntournament_size = 2\ncrossover_rate = 0.2\n"
             "mutation_rate = 0.01\nselection_mode = tournament\nboltzmann_beta = 0.0\n\n"
             "[disorder]\nmean = 0.0\nstd = 1.0\n\n")
@@ -72,6 +73,19 @@ class TestConfigSerialization:
         [(_, suite)] = experiment.preset_configs("oracle-small-n", desk=True)
         assert experiment.serialize_config(suite) == (
             "[run]\nkind = oracle_suite\nname = oracle-small-n\nseed = 424242\n\n")
+
+    @pytest.mark.parametrize("kind", ["campaign", "mcmc_curve"])
+    def test_readme_table_lists_the_schema_keys(self, kind):
+        # the README's table of a kind's keys, row by row: `[section]` | keys | default
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split(f"`kind = {kind}`", 1)[1].split("\n\n")[1]
+        listed = {}
+        for row in table.splitlines()[2:]:
+            section, keys = row.split("|")[1:3]
+            keys = re.sub(r"\([^)]*\)", "", keys)   # value hints such as (`chain` or `sk`)
+            listed.setdefault(section.strip().strip("`[]"), []).extend(re.findall(r"`(\w+)`", keys))
+        assert listed == {section: [key for key in keys if key != "kind"]
+                          for section, keys in experiment._SCHEMAS[kind].items()}
 
     def test_listing_contains_figure_presets(self):
         names = experiment.list_presets()
@@ -95,25 +109,6 @@ class TestConfigSerialization:
             experiment.ExperimentConfig(**{**cfg.__dict__, "n": 31})
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.n = 31
-
-    def test_unknown_oracle_rejected(self, tmp_path):
-        cfg = tiny_chain_config(tmp_path)
-        with pytest.raises(ValueError, match="psychic"):
-            experiment.ExperimentConfig(**{**cfg.__dict__, "oracle": "psychic"})
-
-    def test_oracle_defaults_to_the_models_analytic_oracle(self, tmp_path):
-        chain = tiny_chain_config(tmp_path)
-        assert experiment.ExperimentConfig(**{**chain.__dict__, "oracle": None}) == chain
-        n = 16
-        sk = experiment.ExperimentConfig(
-            name="sk",
-            ga=tg.GAParams(population_size=10, genome_length=n),
-            disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
-            t0=5.0, learning_rate=1e-3, generations=4, replicas=1, seed=17)
-        assert sk.oracle == "analytic_sk"
-        text = experiment.serialize_config(sk)
-        assert "oracle = analytic_sk" in text
-        assert experiment.parse_config(text.replace("oracle = analytic_sk\n", "")) == sk
 
     def test_absent_optional_keys_take_dataclass_defaults(self):
         text = ("[run]\nname = minimal\nmodel = sk\nn = 16\ngenerations = 4\nreplicas = 1\n"
@@ -201,7 +196,7 @@ class TestRunExperiment:
                            crossover_rate=0.2, mutation_rate=0.02),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
             t0=5.0, learning_rate=1e-3, generations=4, replicas=2, seed=17,
-            oracle="analytic_sk", output_dir=str(tmp_path / "sk"))
+            output_dir=str(tmp_path / "sk"))
         summary = experiment.run_experiment(cfg)
         experiment.emit_plot_data(summary)
         assert summary.series_name == "fitness"
@@ -223,21 +218,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="injected"):
             experiment.run_experiment(tiny_chain_config(tmp_path / "fit"))
 
-    def test_enumeration_oracle_campaign(self, tmp_path):
-        n = 10
-        cfg = experiment.ExperimentConfig(
-            name="tiny-enum",
-            ga=tg.GAParams(population_size=8, genome_length=n),
-            disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN),
-            t0=2.0, learning_rate=1e-3, generations=3, replicas=1, seed=3,
-            oracle="enumeration", output_dir=str(tmp_path / "enum"))
-        summary = experiment.run_experiment(cfg)
-        assert summary.temperature.shape == (1, 4)
+    def test_too_short_a_run_reports_every_fit_unavailable(self, tmp_path):
+        # 5 generations leave 5 points in the fit window: each fit says why it is missing
+        want = (b"residual = unavailable (need at least 10 points in the window, got 5)\n"
+                b"temperature = unavailable (need at least 10 points in the window, got 5)\n"
+                b"temperature_crossover = unavailable (need at least 40 points, got 5)\n")
+        assert experiment.run_config(tiny_chain_config(tmp_path / "lib")).passed
+        assert (tmp_path / "lib" / "fit_report.txt").read_bytes() == want
+        path = tmp_path / "tiny.ini"
+        path.write_text(experiment.serialize_config(tiny_chain_config(tmp_path / "cli")))
+        assert cli.main(["run", str(path)]) == 0
+        assert (tmp_path / "cli" / "fit_report.txt").read_bytes() == want
 
 
 class TestPairConvention:
     @staticmethod
-    def enumeration_sk_config(out, conv):
+    def sk_config(out, conv):
         n = 10
         return experiment.ExperimentConfig(
             name=f"sk-{conv}",
@@ -245,24 +241,20 @@ class TestPairConvention:
                            crossover_rate=0.2, mutation_rate=0.05),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
             t0=2.0, learning_rate=1e-2, generations=5, replicas=2, seed=41,
-            oracle="enumeration", sk_pair_convention=conv, output_dir=str(out))
+            sk_pair_convention=conv, output_dir=str(out))
 
     def test_unordered_campaign_threads_the_convention(self, tmp_path):
-        cfg = self.enumeration_sk_config(tmp_path / "unordered", "unordered")
+        cfg = self.sk_config(tmp_path / "unordered", "unordered")
         assert experiment.parse_config(experiment.serialize_config(cfg)) == cfg
         half = experiment.run_experiment(cfg)
-        full = experiment.run_experiment(self.enumeration_sk_config(tmp_path / "ordered",
-                                                                    "ordered"))
+        full = experiment.run_experiment(self.sk_config(tmp_path / "ordered", "ordered"))
         # same seed, same initial population: every energy is scaled by exactly 1/2
         assert np.array_equal(half.u_ga[:, 0], 0.5 * full.u_ga[:, 0])
         for r in range(cfg.replicas):
-            d = experiment._build_disorder(cfg, r)
-            assert d.pair_convention == "unordered"
-            for t, T in enumerate(half.temperature[r]):
-                assert half.u_gibbs[r, t] == tg.exact_gibbs_expectation(d, T)[0]
+            assert experiment._build_disorder(cfg, r).pair_convention == "unordered"
 
     def test_misspelt_convention_is_a_config_error(self, tmp_path, capsys):
-        cfg = self.enumeration_sk_config(tmp_path / "bad", "unordered")
+        cfg = self.sk_config(tmp_path / "bad", "unordered")
         text = experiment.serialize_config(cfg)
         path = tmp_path / "bad.ini"
         path.write_text(text.replace("sk_pair_convention = unordered",
@@ -414,7 +406,7 @@ def reference_replica(cfg, replica):
     """One replica run on its own, generation by generation."""
     disorder = experiment._build_disorder(cfg, replica)
     model = experiment._build_evaluator(cfg, disorder)
-    oracle = experiment._build_oracle(cfg, disorder)
+    oracle = experiment._build_oracle(cfg)
     pop = tg.init_population(cfg.ga, model,
                              np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, 1)))
     rows = cfg.generations + 1
@@ -470,7 +462,7 @@ class TestLockstepMatchesReference:
                            boltzmann_beta=beta),
             disorder=tg.DisorderParams(0.0, 1.0, model),
             t0=2.0, learning_rate=1e-2, generations=generations, replicas=replicas,
-            seed=seed, oracle="enumeration")
+            seed=seed)
         with tempfile.TemporaryDirectory() as out:
             summary = experiment.run_experiment(cfg, output_dir=out)
         assert summary.replica_failures == []
@@ -509,9 +501,9 @@ class TestOracleCalls:
 
         built = []
 
-        def counting(cfg, disorder):
+        def counting(cfg):
             # replicas are built in index order
-            oracle, replica = original(cfg, disorder), len(built)
+            oracle, replica = original(cfg), len(built)
             built.append(replica)
             return tg.EnergyOracle(
                 evaluator=lambda T: calls.append(replica) or oracle.energy(T))
@@ -538,12 +530,11 @@ class TestEvolveThenLearn:
     def test_schedule_is_learned_from_the_recorded_energies(self, tmp_path, model):
         cfg = dataclasses.replace(
             tiny_chain_config(tmp_path, generations=2 * G + 3, replicas=3),
-            disorder=tg.DisorderParams(0.0, 1.0, model), oracle=None)
+            disorder=tg.DisorderParams(0.0, 1.0, model))
         summary = experiment.run_experiment(cfg)
         for k in range(cfg.replicas):
-            oracle = experiment._build_oracle(cfg, experiment._build_disorder(cfg, k))
-            temperature, u_model = tg.learn_schedule(summary.u_ga[k], cfg.t0,
-                                                     cfg.learning_rate, oracle)
+            temperature, u_model = tg.learn_schedule(
+                summary.u_ga[k], cfg.t0, cfg.learning_rate, experiment._build_oracle(cfg))
             assert np.array_equal(summary.temperature[k], temperature)
             assert np.array_equal(summary.u_gibbs[k], u_model)
 
@@ -552,11 +543,11 @@ class TestReplicaFailures:
     def test_failing_replica_recorded_others_finish(self, tmp_path, monkeypatch):
         original, built = experiment._build_oracle, []
 
-        def build(cfg, disorder):
+        def build(cfg):
             replica = len(built)   # replicas are built in index order
             built.append(replica)
             if replica != 1:
-                return original(cfg, disorder)
+                return original(cfg)
 
             def fail(T):
                 raise ConvergenceError("RS fixed point did not converge", residual=1.0)
@@ -584,7 +575,7 @@ class TestReplicaFailures:
             ga=tg.GAParams(population_size=10, genome_length=n),
             disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
             t0=0.8, learning_rate=1e-3, generations=3, replicas=2, seed=17,
-            oracle="analytic_sk", output_dir=str(tmp_path / "sk"))
+            output_dir=str(tmp_path / "sk"))
         path = tmp_path / "sk.ini"
         path.write_text(experiment.serialize_config(cfg))
         assert cli.main(["run", str(path)]) == cli.EXIT_NUMERIC == 4
@@ -606,8 +597,8 @@ class TestMidRunFailures:
         fault = fault or cls.fail
         original, built = experiment._build_oracle, []
 
-        def build(cfg, disorder):
-            oracle, replica = original(cfg, disorder), len(built)   # built in index order
+        def build(cfg):
+            oracle, replica = original(cfg), len(built)   # built in index order
             built.append(replica)
             if replica not in calls_before_failure:
                 return oracle
@@ -814,6 +805,15 @@ class TestCli:
             assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
             assert capsys.readouterr().err == (
                 f"config error: missing required key {key!r} in [{section}]\n")
+        # a config.ini written while a campaign still named its oracle
+        capsys.readouterr()
+        old = campaign.replace("learning_rate = 0.0001\n",
+                               "learning_rate = 0.0001\noracle = analytic_chain\n")
+        assert old.count("oracle = ") == 1
+        path.write_text(old)
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'oracle' in section [run] of a campaign config\n")
         # a NaN or infinite beta would make every Boltzmann slot copy member 0 of its block
         boltzmann = campaign.replace("selection_mode = tournament", "selection_mode = boltzmann")
         assert boltzmann.count("boltzmann_beta = 0.0\n") == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,21 @@ class TestBoltzmann:
         pop = tg.init_population(make_params(), model, 8)
         out = tg.boltzmann_select(pop, 1e6, _draws(9, selection_mode="boltzmann"))
         assert np.all(out.energies == pop.energies.min())
+
+    def test_huge_beta_is_one_hot_on_the_block_minimum(self):
+        # shifted by the block minimum before scaling, every other exponent overflows
+        # to -inf (weight 0), where scaling first made every weight NaN
+        energies = np.array([-2.44, -3.14, -1.0, -2.0, -1.0, -2.0, -3.14, -2.44])
+        pop = tg.Population(members=np.arange(8)[:, None], energies=energies)
+        draws = tg.Draws(selection=np.random.default_rng(4).random(8),
+                         order=np.zeros((2, 4), np.intp), cross=np.zeros((2, 2)),
+                         cuts=np.ones((2, 2), np.intp), flips=np.empty(0, np.intp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = tg.boltzmann_weights(energies.reshape(2, 4), 1e308)
+            out = tg.boltzmann_select(pop, 1e308, draws)
+        assert np.array_equal(weights, [[0, 1, 0, 0], [0, 0, 1, 0]])
+        assert np.array_equal(out.members[:, 0], [1] * 4 + [6] * 4)
 
     @pytest.mark.parametrize("beta_s", [0.0, 0.7, 5.0, 1e6])
     def test_inverse_cdf_equals_generator_choice(self, beta_s):

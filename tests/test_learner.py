@@ -159,11 +159,6 @@ class TestOracleFactories:
         oracle = tg.analytic_chain_oracle(321, CHAIN_01)
         assert oracle.energy(1.3) == 321 * tg.chain_internal_energy(1.3, CHAIN_01)
 
-    def test_enumeration_oracle(self):
-        d = tg.sample_chain_disorder(8, CHAIN_01, 5)
-        oracle = tg.enumeration_oracle(d)
-        assert oracle.energy(1.0) == tg.exact_gibbs_expectation(d, 1.0)[0]
-
     def test_analytic_sk_oracle_matches_direct_solve(self):
         oracle = tg.analytic_sk_oracle(100, SK_01)
         for T in (2.0, 1.8, 0.5):
