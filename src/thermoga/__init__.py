@@ -32,7 +32,6 @@ from .analytic import (
 from .experiment import (
     ExperimentConfig,
     McmcCurveConfig,
-    RunResult,
     RunSummary,
     emit_plot_data,
     list_presets,
@@ -67,7 +66,6 @@ from .learner import (
     disorder_averaged_trajectory,
     learn_schedule,
     learner_step,
-    match_temperature,
 )
 from .mcmc import (
     MCMCOptions,

@@ -5,10 +5,12 @@ Verbs:
     preset <name> [--out DIR] [--desk] run a named preset (desk = reduced N)
     list-presets                       print available preset names
     oracle-check [--out DIR]           run the small-size cross-oracle suite
-                                       (the `oracle-small-n` preset)
 
+`run` and `preset` print the directories they wrote; `oracle-check` prints
+its PASS/FAIL lines and writes them to `oracle_check.txt` in a run directory
+named `oracle-small-n`.
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numeric failure
-(a failed oracle check included, whichever verb ran it).
+(a failed oracle check included).
 `THERMOGA_OUTPUT_DIR` overrides the output directory for all verbs.
 """
 
@@ -53,21 +55,17 @@ def main(argv=None) -> int:
         if args.verb == "list-presets":
             for name in experiment.list_presets():
                 print(name)
-            return EXIT_OK
-
-        if args.verb == "preset":
-            results = experiment.run_preset(args.name, desk=args.desk, output_dir=args.out)
-            for res in results:
-                print(res.output_dir)
+        elif args.verb == "oracle-check":
+            out = experiment.resolve_output_dir("oracle-small-n", override=args.out)
+            passed, lines = experiment.oracle_check(output_dir=out)
+            print("\n".join(lines))
+            return EXIT_OK if passed else EXIT_NUMERIC
+        elif args.verb == "preset":
+            for out in experiment.run_preset(args.name, desk=args.desk, output_dir=args.out):
+                print(out)
         else:
-            if args.verb == "oracle-check":
-                [(_, cfg)] = experiment.preset_configs("oracle-small-n")
-            else:
-                cfg = experiment.load_config(args.config)
-            res = experiment.run_config(cfg, output_dir=args.out)
-            print(res.output_dir if res.report is None else "\n".join(res.report))
-            results = [res]
-        return EXIT_OK if all(res.passed for res in results) else EXIT_NUMERIC
+            print(experiment.run_config(experiment.load_config(args.config), output_dir=args.out))
+        return EXIT_OK
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

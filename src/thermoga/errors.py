@@ -25,10 +25,6 @@ class InsufficientDataError(ValueError):
     """Not enough data points inside the requested window."""
 
 
-class UnbracketableError(ValueError):
-    """Target value lies outside the range spanned by the bracket."""
-
-
 class TemperatureMismatchError(ValueError):
     """Order parameters were solved at a different temperature than requested."""
 

@@ -28,10 +28,10 @@ written and read through one table of each kind's keys; a key left out
 takes its dataclass default, and a section or key the config's kind does
 not define is an error.  Presets cover the standard figure-style
 experiments for both models plus the MCMC-versus-exact internal-energy
-curve and a small-size cross-oracle suite.  Desk variants
-shrink the system size for fast runs on a laptop while keeping every other
-parameter.  `run_config` runs a config of any of these kinds; `run_preset`
-and every CLI verb go through it.
+curve.  Desk variants shrink the system size for fast runs on a laptop while
+keeping every other parameter.  `run_config` runs a config of either kind and
+`run_preset` goes through it.  The small-size cross-oracle suite,
+`oracle_check`, has no config: it is a fixed set of checks at one seed.
 
 The learner defaults used by the campaign presets (T0 = 10, eta = 3e-5/N
 for the chain, 2.5e-3/N for the SK runs) are deliberate and documented in
@@ -114,13 +114,6 @@ class McmcCurveConfig:
             raise DomainError("temperatures must be positive")
 
 
-@dataclass(frozen=True)
-class OracleSuiteConfig:
-    name: str
-    seed: int
-    output_dir: str | None = None
-
-
 @dataclass
 class RunSummary:
     config: ExperimentConfig
@@ -165,10 +158,8 @@ _SCHEMAS = {
                 "realizations": int, "seed": int, **_SAMPLER, "output_dir": str},
         "disorder": _DISORDER,
     },
-    "oracle_suite": {"run": {"kind": str, "name": str, "seed": int, "output_dir": str}},
 }
-_KINDS = {ExperimentConfig: "campaign", McmcCurveConfig: "mcmc_curve",
-          OracleSuiteConfig: "oracle_suite"}
+_KINDS = {ExperimentConfig: "campaign", McmcCurveConfig: "mcmc_curve"}
 
 
 def _field_text(value) -> str:
@@ -211,7 +202,10 @@ _REQUIRED = {"name", "seed", "model", "n", "generations", "replicas", "t0", "lea
 def parse_config(text: str):
     """The config of a file's text; a section or key its kind does not define is an error."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:   # no section header, a duplicate key or section
+        raise ValueError(str(exc)) from exc
     kind = parser.get("run", "kind", fallback="campaign")
     if kind not in _SCHEMAS:
         raise ValueError(f"unknown config kind {kind!r}; known: {', '.join(_SCHEMAS)}")
@@ -230,8 +224,6 @@ def parse_config(text: str):
                 raise ValueError(f"missing required key {key!r} in [{section}]")
     run = values["run"]
     run.pop("kind", None)
-    if kind == "oracle_suite":
-        return OracleSuiteConfig(**run)
     if kind == "mcmc_curve":
         options = {key: run.pop(key) for key in _SAMPLER if key in run}
         return McmcCurveConfig(
@@ -249,16 +241,17 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def resolve_output_dir(cfg, override=None) -> Path:
-    """Precedence: THERMOGA_OUTPUT_DIR env var, explicit override, config, cwd."""
+def resolve_output_dir(name: str, configured=None, override=None) -> Path:
+    """The directory of run `name`.  Precedence: THERMOGA_OUTPUT_DIR env var (plus
+    `name`), explicit override, the configured directory, cwd (plus `name`)."""
     env = os.environ.get(ENV_OUTPUT_DIR)
     if env:
-        return Path(env) / cfg.name
+        return Path(env) / name
     if override is not None:
         return Path(override)
-    if cfg.output_dir is not None:
-        return Path(cfg.output_dir)
-    return Path.cwd() / "thermoga_runs" / cfg.name
+    if configured is not None:
+        return Path(configured)
+    return Path.cwd() / "thermoga_runs" / name
 
 
 def write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> Path:
@@ -386,7 +379,7 @@ def _default_fit_window(times: np.ndarray) -> tuple[float, float]:
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> RunSummary:
     """Run all replicas, average, fit, and write the raw output files."""
-    out = resolve_output_dir(cfg, output_dir)
+    out = resolve_output_dir(cfg.name, cfg.output_dir, output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(serialize_config(cfg))
 
@@ -466,8 +459,12 @@ def emit_plot_data(summary: RunSummary) -> list[Path]:
 
 
 def run_mcmc_curve(cfg: McmcCurveConfig, output_dir=None) -> list[Path]:
-    """Disorder-averaged Metropolis energies against the exact chain curve."""
-    out = resolve_output_dir(cfg, output_dir)
+    """Disorder-averaged Metropolis energies against the exact chain curve.
+
+    An open chain of n spins has n - 1 bonds, so its exact disorder-averaged
+    energy is (n - 1) u(T) for the energy per bond u(T).
+    """
+    out = resolve_output_dir(cfg.name, cfg.output_dir, output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(serialize_config(cfg))
 
@@ -487,7 +484,7 @@ def run_mcmc_curve(cfg: McmcCurveConfig, output_dir=None) -> list[Path]:
         means[ti] = arr.mean()
         errs[ti] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
 
-    exact = np.array([cfg.n * analytic.chain_internal_energy(float(T), cfg.disorder)
+    exact = np.array([(cfg.n - 1) * analytic.chain_internal_energy(float(T), cfg.disorder)
                       for T in temps])
     return [
         write_table(out / "curve_mcmc.tsv", ["T", "U_mean", "U_stderr"], [temps, means, errs]),
@@ -614,10 +611,6 @@ def _preset_fg1(desk):
     ))]
 
 
-def _preset_oracles(desk):
-    return [("oracle-small-n", OracleSuiteConfig(name="oracle-small-n", seed=424242))]
-
-
 _CHAIN, _SK = ModelKind.CHAIN, ModelKind.SK
 _PRESET_BUILDERS = {
     "fg1": _preset_fg1,
@@ -636,7 +629,6 @@ _PRESET_BUILDERS = {
                            for pm in (0.005, 0.001)],
     "fgCSK": lambda desk: [(f"pc{pc}", _campaign(_SK, "fgCSK", f"pc{pc}", 108, desk, p_c=pc))
                            for pc in (0.1, 0.05, 0.01)],
-    "oracle-small-n": _preset_oracles,
 }
 
 
@@ -651,28 +643,16 @@ def preset_configs(name: str, desk: bool = False):
     return _PRESET_BUILDERS[name](desk)
 
 
-class RunResult(NamedTuple):
-    """Where one run wrote its files, and whether its checks passed."""
-
-    output_dir: Path
-    passed: bool = True
-    report: list[str] | None = None  # the oracle suite's PASS/FAIL lines
-
-
-def run_config(cfg, output_dir=None) -> RunResult:
-    """Run one config of any kind and write its files."""
+def run_config(cfg, output_dir=None) -> Path:
+    """Run one config of either kind, write its files and return their directory."""
     if isinstance(cfg, ExperimentConfig):
         summary = run_experiment(cfg, output_dir=output_dir)
         emit_plot_data(summary)
-        return RunResult(summary.output_dir)
-    if isinstance(cfg, McmcCurveConfig):
-        return RunResult(run_mcmc_curve(cfg, output_dir=output_dir)[0].parent)
-    out = resolve_output_dir(cfg, output_dir)
-    passed, lines = oracle_check(cfg.seed, output_dir=out)
-    return RunResult(out, passed, lines)
+        return summary.output_dir
+    return run_mcmc_curve(cfg, output_dir=output_dir)[0].parent
 
 
-def run_preset(name: str, desk: bool = False, output_dir=None) -> list[RunResult]:
+def run_preset(name: str, desk: bool = False, output_dir=None) -> list[Path]:
     """Run every variant of a preset, each into its own directory."""
     variants = preset_configs(name, desk)
     if output_dir is None:

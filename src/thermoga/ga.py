@@ -66,8 +66,9 @@ class GAParams:
     def __post_init__(self):
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError("population size must be even and at least 2")
-        if self.genome_length < 1:
-            raise ValueError("genome length must be positive")
+        if self.genome_length < 2:
+            # both models need two spins, and a single-point cut needs an interior site
+            raise ValueError("genome length must be at least 2")
         if not 1 <= self.tournament_size <= self.population_size:
             raise ValueError("tournament size must lie in [1, population size]")
         for name in ("crossover_rate", "mutation_rate"):
@@ -183,7 +184,7 @@ def draw_generations(rngs, params: GAParams) -> list[Draws]:
         uniforms = np.empty((nblocks, g * m))
     order = np.empty((nblocks, g, m), dtype=np.intp)
     cross = np.empty((nblocks, g, m // 2))
-    cuts = np.ones((nblocks, g, m // 2), dtype=np.intp)
+    cuts = np.empty((nblocks, g, m // 2), dtype=np.intp)
     flips = []
     for r, rng in enumerate(rngs):
         if tournament:
@@ -191,9 +192,7 @@ def draw_generations(rngs, params: GAParams) -> list[Draws]:
                 raw[r, :, c] = rng.integers(0, m - c, size=g * m)
         order[r] = rng.permuted(np.broadcast_to(np.arange(m), (g, m)), axis=1)
         rng.random(out=cross[r])
-        if n > 1:
-            # a single-site genome has no interior cut point
-            cuts[r] = rng.integers(1, n, size=(g, m // 2))
+        cuts[r] = rng.integers(1, n, size=(g, m // 2))
         flips.append(_bernoulli_sites(rng, g * m * n, params.mutation_rate))
         if not tournament:
             rng.random(out=uniforms[r])
@@ -272,8 +271,7 @@ def crossover(pop: Population, p_c: float, draws: Draws, model: BlockEvaluator) 
     """
     m, n = _block_size(pop, draws), pop.members.shape[1]
     order = draws.order + np.arange(0, pop.size, m)[:, None]
-    # a single-site genome has no interior cut point
-    block, pair = np.nonzero(draws.cross < p_c) if n > 1 else (np.empty(0, np.intp),) * 2
+    block, pair = np.nonzero(draws.cross < p_c)
     rows = np.stack([order[block, 2 * pair], order[block, 2 * pair + 1]])   # (2, pairs)
     parents = pop.members[rows]
     tails = np.arange(n) >= draws.cuts[block, pair][:, None]

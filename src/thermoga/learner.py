@@ -23,9 +23,6 @@ Both U(T) and U_pop are total (extensive) energies.  Oracles built from
 per-spin densities multiply by the system size here, in one place; mixing a
 density with a total is the one silent mistake this module is shaped to
 prevent.
-
-`match_temperature` inverts U(T) = U_pop directly by bisection and serves
-as an instantaneous cross-check on the learned schedule.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytic
-from .errors import DimensionMismatchError, DomainError, UnbracketableError
+from .errors import DimensionMismatchError, DomainError
 from .spin_systems import DisorderParams
 
 T_FLOOR = 1e-6   # the learned temperature never drops below this
@@ -80,31 +77,6 @@ def learn_schedule(u_ga, t0: float, eta: float,
         temperature.append(learner_step(temperature[-1], eta, float(u), u_model[-1]))
         u_model.append(oracle.energy(temperature[-1]))
     return np.array(temperature), np.array(u_model)
-
-
-def match_temperature(u_ga: float, oracle: EnergyOracle,
-                      bracket: tuple[float, float]) -> float:
-    """Solve U(T*) = u_ga by bisection on a monotone-increasing bracket."""
-    t_lo, t_hi = bracket
-    if not 0 < t_lo < t_hi:
-        raise DomainError("bracket must satisfy 0 < T_lo < T_hi")
-    u_lo, u_hi = oracle.energy(t_lo), oracle.energy(t_hi)
-    if u_lo > u_hi:
-        raise DomainError("oracle is not increasing across the bracket")
-    if not u_lo <= u_ga <= u_hi:
-        raise UnbracketableError(
-            f"u_ga = {u_ga} outside the bracket range [{u_lo}, {u_hi}]; the population "
-            "sits below the model's ground state or above its infinite-T mean")
-    while t_hi - t_lo > 1e-9:
-        mid = 0.5 * (t_lo + t_hi)
-        u_mid = oracle.energy(mid)
-        if abs(u_mid - u_ga) <= 1e-9 * abs(u_ga):
-            return mid
-        if u_mid < u_ga:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return 0.5 * (t_lo + t_hi)
 
 
 def disorder_averaged_trajectory(runs) -> tuple[np.ndarray, np.ndarray]:

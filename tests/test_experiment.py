@@ -70,9 +70,6 @@ class TestConfigSerialization:
             "temperatures = 0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 1.6, 2.0, 2.4, 3.0\n"
             "realizations = 4\nseed = 190\nsweeps = 800\nburn_in = 200\nthinning = 3\n"
             "chains = 4\n\n[disorder]\nmean = 0.0\nstd = 1.0\n\n")
-        [(_, suite)] = experiment.preset_configs("oracle-small-n", desk=True)
-        assert experiment.serialize_config(suite) == (
-            "[run]\nkind = oracle_suite\nname = oracle-small-n\nseed = 424242\n\n")
 
     @pytest.mark.parametrize("kind", ["campaign", "mcmc_curve"])
     def test_readme_table_lists_the_schema_keys(self, kind):
@@ -87,12 +84,18 @@ class TestConfigSerialization:
         assert listed == {section: [key for key in keys if key != "kind"]
                           for section, keys in experiment._SCHEMAS[kind].items()}
 
+    def test_readme_table_lists_the_presets(self):
+        # the README's presets table, row by row: | `name` | model | sweep |
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| preset | model | sweep |", 1)[1].split("\n\n")[0]
+        listed = [re.match(r"\| `([^`]+)`", row).group(1) for row in table.splitlines()[2:]]
+        assert listed == experiment.list_presets()
+
     def test_listing_contains_figure_presets(self):
         names = experiment.list_presets()
         assert "fg1D" in names
         assert "fgCSK" in names
         assert "fg1" in names
-        assert "oracle-small-n" in names
 
     def test_fgS_sweeps_tournament_sizes(self):
         variants = experiment.preset_configs("fgS")
@@ -135,9 +138,9 @@ class TestConfigSerialization:
         assert not (tmp_path / "out").exists()
 
     def test_keys_of_another_kind_are_rejected(self):
-        [(_, suite)] = experiment.preset_configs("oracle-small-n")
-        text = experiment.serialize_config(suite) + "\n[disorder]\nmean = 0.0\nstd = 1.0\n"
-        with pytest.raises(ValueError, match=r"\[disorder\] in a oracle_suite config"):
+        [(_, curve)] = experiment.preset_configs("fg1")
+        text = experiment.serialize_config(curve) + "\n[ga]\npopulation_size = 10\n"
+        with pytest.raises(ValueError, match=r"\[ga\] in a mcmc_curve config"):
             experiment.parse_config(text)
 
 
@@ -223,7 +226,7 @@ class TestRunExperiment:
         want = (b"residual = unavailable (need at least 10 points in the window, got 5)\n"
                 b"temperature = unavailable (need at least 10 points in the window, got 5)\n"
                 b"temperature_crossover = unavailable (need at least 40 points, got 5)\n")
-        assert experiment.run_config(tiny_chain_config(tmp_path / "lib")).passed
+        assert experiment.run_config(tiny_chain_config(tmp_path / "lib")) == tmp_path / "lib"
         assert (tmp_path / "lib" / "fit_report.txt").read_bytes() == want
         path = tmp_path / "tiny.ini"
         path.write_text(experiment.serialize_config(tiny_chain_config(tmp_path / "cli")))
@@ -686,13 +689,14 @@ class TestOutputResolution:
     def test_env_override_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiment.ENV_OUTPUT_DIR, str(tmp_path / "env"))
         cfg = tiny_chain_config(tmp_path / "cfgdir", name="envtest")
-        out = experiment.resolve_output_dir(cfg, override=tmp_path / "cli")
+        out = experiment.resolve_output_dir(cfg.name, cfg.output_dir, override=tmp_path / "cli")
         assert out == tmp_path / "env" / "envtest"
 
     def test_override_beats_config(self, tmp_path, monkeypatch):
         monkeypatch.delenv(experiment.ENV_OUTPUT_DIR, raising=False)
         cfg = tiny_chain_config(tmp_path / "cfgdir")
-        assert experiment.resolve_output_dir(cfg, override=tmp_path / "cli") == tmp_path / "cli"
+        out = experiment.resolve_output_dir(cfg.name, cfg.output_dir, override=tmp_path / "cli")
+        assert out == tmp_path / "cli"
 
 
 class TestMcmcCurve:
@@ -724,6 +728,17 @@ class TestMcmcCurve:
             seed=5, output_dir=str(tmp_path / "curve"))
         experiment.run_mcmc_curve(cfg)
         assert [args[2].spawn_key for args in calls] == [(0, 0), (1, 0), (2, 0)]
+
+    def test_exact_column_counts_the_bonds(self, tmp_path):
+        # an open chain of n spins has n - 1 bonds
+        n, params = 20, tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN)
+        cfg = experiment.McmcCurveConfig(
+            name="curve", n=n, disorder=params, temperatures=(0.5, 1.0, 2.0), realizations=1,
+            options=tg.MCMCOptions(sweeps=20, burn_in=5, thinning=3, chains=2),
+            seed=5, output_dir=str(tmp_path / "curve"))
+        rows = experiment.run_mcmc_curve(cfg)[1].read_text().splitlines()[1:]
+        assert [float(row.split("\t")[1]) for row in rows] == [
+            (n - 1) * analytic.chain_internal_energy(T, params) for T in cfg.temperatures]
 
 
 class TestCli:
@@ -760,24 +775,29 @@ class TestCli:
 
         seen = []
         monkeypatch.setattr(experiment, "oracle_check",
-                            lambda seed, output_dir: seen.append(output_dir) or (True, []))
+                            lambda output_dir: seen.append(output_dir) or (True, []))
         assert cli.main(["oracle-check"]) == 0
-        assert seen == [tmp_path / "env" / "oracle-small-n"]
+        monkeypatch.delenv(experiment.ENV_OUTPUT_DIR)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["oracle-check"]) == 0
+        assert cli.main(["oracle-check", "--out", str(tmp_path / "cli")]) == 0
+        assert seen == [tmp_path / "env" / "oracle-small-n",
+                        tmp_path / "thermoga_runs" / "oracle-small-n", tmp_path / "cli"]
 
     def test_failed_oracle_check_exits_numeric_on_every_verb(self, tmp_path, monkeypatch,
                                                               capsys):
+        # the suite is the `oracle-check` verb alone: no preset or config kind runs it
         monkeypatch.setenv(experiment.ENV_OUTPUT_DIR, str(tmp_path / "env"))
         monkeypatch.setattr(experiment, "oracle_check",
-                            lambda seed, output_dir: (False, ["PASS  one", "FAIL  two"]))
+                            lambda output_dir: (False, ["PASS  one", "FAIL  two"]))
         assert cli.main(["oracle-check"]) == cli.EXIT_NUMERIC == 4
         assert capsys.readouterr().out == "PASS  one\nFAIL  two\n"
-        [(_, cfg)] = experiment.preset_configs("oracle-small-n")
         path = tmp_path / "suite.ini"
-        path.write_text(experiment.serialize_config(cfg))
-        assert cli.main(["run", str(path)]) == cli.EXIT_NUMERIC
-        assert capsys.readouterr().out == "PASS  one\nFAIL  two\n"
-        assert cli.main(["preset", "oracle-small-n"]) == cli.EXIT_NUMERIC
-        assert capsys.readouterr().out == f"{tmp_path / 'env' / 'oracle-small-n'}\n"
+        path.write_text("[run]\nkind = oracle_suite\nname = oracle-small-n\nseed = 424242\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert cli.main(["preset", "oracle-small-n"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "env").exists()
 
     def test_unknown_preset_exit_code(self):
         assert cli.main(["preset", "nope"]) == cli.EXIT_CONFIG
@@ -788,7 +808,6 @@ class TestCli:
         assert cli.main(["run", str(path)]) != 0
         campaign = experiment.serialize_config(tiny_chain_config(tmp_path / "out"))
         curve = experiment.serialize_config(experiment.preset_configs("fg1", desk=True)[0][1])
-        suite = "[run]\nkind = oracle_suite\nname = s\nseed = 1\n"
         cases = [("n", "run", "[run]\nname = x\nmodel = chain\n"),
                  ("model", "run", "[run]\nname = x\nn = 8\n")]
         cases += [(key, section, drop_line(campaign, key)) for section, key in (
@@ -797,7 +816,6 @@ class TestCli:
             ("disorder", "mean"), ("disorder", "std"))]
         cases += [(key, section, drop_line(curve, key)) for section, key in (
             ("run", "n"), ("run", "temperatures"), ("run", "realizations"), ("disorder", "std"))]
-        cases += [(key, "run", drop_line(suite, key)) for key in ("name", "seed")]
         cases.append(("mean", "disorder", campaign[:campaign.index("[disorder]")]))
         for key, section, text in cases:
             capsys.readouterr()
@@ -822,4 +840,28 @@ class TestCli:
             path.write_text(boltzmann.replace("boltzmann_beta = 0.0", f"boltzmann_beta = {value}"))
             assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
             assert "boltzmann_beta must be finite" in capsys.readouterr().err
+        # INI text that configparser itself rejects
+        for text, why in [(campaign[campaign.index("name = "):], "no section headers"),
+                          (campaign.replace("seed = 9001\n", "seed = 9001\nseed = 9002\n"),
+                           "option 'seed' in section 'run' already exists"),
+                          (campaign + "[ga]\npopulation_size = 12\n",
+                           "section 'ga' already exists")]:
+            capsys.readouterr()
+            path.write_text(text)
+            assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and why in err
+        capsys.readouterr()
+        path.write_text("[run]\nkind = oracle_suite\nname = s\nseed = 1\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown config kind 'oracle_suite'; known: campaign, mcmc_curve\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_single_site_genome_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "n1.ini"
+        path.write_text(experiment.serialize_config(tiny_chain_config(tmp_path / "out"))
+                        .replace("n = 30\n", "n = 1\n"))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: genome length must be at least 2\n"
         assert not (tmp_path / "out").exists()

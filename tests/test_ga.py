@@ -67,6 +67,12 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(tournament_size=21)
 
+    def test_genome_length_at_least_two(self):
+        make_params(genome_length=2)
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="at least 2"):
+                make_params(genome_length=n)
+
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
             make_params(crossover_rate=1.5)
@@ -501,7 +507,7 @@ class TestTournamentLaw:
         # energies distinct, rank r = 1 the best: P(r) = C(M - r, k - 1) / C(M, k)
         m = self.M
         energies = np.random.default_rng(7).permutation(m).astype(np.float64)
-        pop = _blocks(m, 1, self.BLOCKS, energies)
+        pop = _blocks(m, 2, self.BLOCKS, energies)
         outs = self.select_all(pop, k, np.random.default_rng(11 + k))
         counts = sum(np.bincount(out.energies.astype(np.intp), minlength=m) for out in outs)
         samples = pop.size * G   # energy e has rank e + 1

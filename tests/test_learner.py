@@ -3,7 +3,7 @@ import pytest
 
 import thermoga as tg
 from thermoga import learner
-from thermoga.errors import DimensionMismatchError, DomainError, UnbracketableError
+from thermoga.errors import DimensionMismatchError, DomainError
 
 CHAIN_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN)
 SK_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK)
@@ -94,39 +94,15 @@ class TestLearnSchedule:
                               tg.EnergyOracle(evaluator=lambda T: float("inf")))
 
 
-class TestMatchTemperature:
-    def test_inverts_forward_map(self):
-        oracle = tg.analytic_chain_oracle(500, CHAIN_01)
-        target = oracle.energy(1.0)
-        assert tg.match_temperature(target, oracle, (0.05, 8.0)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_unbracketable_below_ground(self):
-        oracle = tg.analytic_chain_oracle(500, CHAIN_01)
-        too_low = 500 * (-np.sqrt(2 / np.pi)) * 1.01
-        with pytest.raises(UnbracketableError):
-            tg.match_temperature(too_low, oracle, (0.05, 8.0))
-
-    def test_reversed_bracket_rejected(self):
-        oracle = tg.analytic_chain_oracle(500, CHAIN_01)
-        with pytest.raises(DomainError):
-            tg.match_temperature(-100.0, oracle, (8.0, 0.05))
-
-    def test_decreasing_oracle_rejected(self):
-        oracle = tg.EnergyOracle(evaluator=lambda T: -T)
-        with pytest.raises(DomainError):
-            tg.match_temperature(-1.0, oracle, (0.5, 2.0))
-
-
 def test_learner_converges_to_matched_temperature():
-    # small constant-rate steps relax T to the root of U(T) = u_ga
+    # small constant-rate steps relax T to the root of U(T) = u_ga, here T = 1
     n = 100
     oracle = tg.analytic_chain_oracle(n, CHAIN_01)
     u_target = oracle.energy(1.0)
-    t_star = tg.match_temperature(u_target, oracle, (0.1, 5.0))
     t = 1.4
     for _ in range(800):
         t = tg.learner_step(t, 1e-3, u_target, oracle.energy(t))
-    assert abs(t - t_star) < 1e-3
+    assert abs(t - 1.0) < 1e-3
 
 
 class TestDisorderAverage:
