@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc
 
 from .errors import (
     ConvergenceError,
@@ -96,9 +95,9 @@ def _u_panel():
     return nodes, weights
 
 
-def erfcc(x):
-    """Upper tail of the standard normal: int_x^inf dz exp(-z^2/2)/sqrt(2 pi)."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+def erfcc(x: float) -> float:
+    """Upper tail of the standard normal at a float x: int_x^inf dz exp(-z^2/2)/sqrt(2 pi)."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def _phi(x):
@@ -138,7 +137,7 @@ def _expect_tanh(beta: float, a: float, b: float) -> float:
         return _gauss(lambda z: np.tanh(beta * (a * z + b)))
     un, uw, phi_p, phi_m = _u_substitution(beta, a, b)
     dev = np.tanh(un) - 1.0                     # tanh(u)-sgn(u) on u > 0
-    base = 1.0 - 2.0 * float(erfcc(b / a))      # int Dz sgn(a z + b)
+    base = 1.0 - 2.0 * erfcc(b / a)             # int Dz sgn(a z + b)
     corr = float(np.sum(uw * (phi_p * dev - phi_m * dev))) / (beta * a)
     return base + corr
 
@@ -310,7 +309,7 @@ def sk_zero_temperature_magnetization(a: float) -> float:
     c = a * math.sqrt(math.pi / 2.0)    # = J0/J
 
     def g(m):
-        return m - (1.0 - 2.0 * float(erfcc(c * m)))
+        return m - (1.0 - 2.0 * erfcc(c * m))
 
     lo, hi = 1e-12, 1.0
     if g(lo) >= 0.0:

@@ -73,7 +73,6 @@ class ExperimentConfig:
     generations: int
     replicas: int
     seed: int
-    sk_pair_convention: str = spin_systems.SK_PAIR_CONVENTION
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -82,8 +81,6 @@ class ExperimentConfig:
         if not (learner.T_FLOOR <= self.t0 < np.inf and 0 <= self.learning_rate < np.inf):
             raise ValueError(f"t0 must be finite and at least learner.T_FLOOR = "
                              f"{learner.T_FLOOR}, and learning_rate finite and nonnegative")
-        if self.sk_pair_convention not in spin_systems.SK_CONVENTIONS:
-            raise ValueError(f"unknown pair convention {self.sk_pair_convention!r}")
 
     @property
     def n(self) -> int:
@@ -147,7 +144,7 @@ _SCHEMAS = {
     "campaign": {
         "run": {"kind": str, "name": str, "model": ModelKind, "n": int, "generations": int,
                 "replicas": int, "seed": int, "t0": float, "learning_rate": float,
-                "sk_pair_convention": str, "output_dir": str},
+                "output_dir": str},
         "ga": {"population_size": int, "tournament_size": int, "crossover_rate": float,
                "mutation_rate": float, "selection_mode": str, "boltzmann_beta": float},
         "disorder": _DISORDER,
@@ -199,11 +196,11 @@ _REQUIRED = {"name", "seed", "model", "n", "generations", "replicas", "t0", "lea
              "population_size", "mean", "std", "temperatures", "realizations"}
 
 
-def parse_config(text: str):
-    """The config of a file's text; a section or key its kind does not define is an error."""
+def parse_config(text: str, source: str = "<string>"):
+    """The config of the text of file `source`; a section or key its kind does not define is an error."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=source)
     except configparser.Error as exc:   # no section header, a duplicate key or section
         raise ValueError(str(exc)) from exc
     kind = parser.get("run", "kind", fallback="campaign")
@@ -235,7 +232,7 @@ def parse_config(text: str):
 
 
 def load_config(path):
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text(), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +253,10 @@ def resolve_output_dir(name: str, configured=None, override=None) -> Path:
 
 def write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> Path:
     """Tab-separated table, full double precision, LF endings."""
-    rows = len(columns[0])
     with open(path, "w", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for i in range(rows):
-            fh.write("\t".join(_cell(col[i]) for col in columns) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter="\t",
+                   header="\t".join(header), comments="")
     return path
-
-
-def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +266,7 @@ def _build_disorder(cfg: ExperimentConfig, replica: int):
     seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(replica, _KEY_DISORDER))
     if cfg.model is ModelKind.CHAIN:
         return spin_systems.sample_chain_disorder(cfg.n, cfg.disorder, seed)
-    return spin_systems.sample_sk_disorder(cfg.n, cfg.disorder, seed, cfg.sk_pair_convention)
+    return spin_systems.sample_sk_disorder(cfg.n, cfg.disorder, seed)
 
 
 def _build_evaluator(cfg: ExperimentConfig, disorder):

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 from .spin_systems import (
@@ -187,6 +186,7 @@ def exact_gibbs_expectation(d, T: float) -> tuple[float, float]:
     _, energies = enumerate_landscape(d)
     beta = 1.0 / T
     logw = -beta * energies
-    log_z = float(logsumexp(logw))
+    top = logw.max()
+    log_z = float(top + np.log(np.sum(np.exp(logw - top))))
     w = np.exp(logw - log_z)
     return float(w @ energies), float(np.exp(log_z))

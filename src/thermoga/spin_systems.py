@@ -13,7 +13,7 @@ The SK double sum runs over ordered pairs, so each unordered pair enters
 twice; an `SKDisorder` built with ``pair_convention="unordered"`` uses the
 single-counted sum -(1/N) sum_{i<j} J_ij s_i s_j (exactly half the ordered
 value) instead.  The convention is chosen once, on the disorder (through
-`sample_sk_disorder` or ``sk_pair_convention`` in a config file), and
+`sample_sk_disorder`; a campaign always uses the pinned default), and
 `SKDisorder.energy_scale` is the one place that turns it into a number;
 energies, flip costs and enumeration all read it from there.  The
 acceptance suite compares both conventions against the replica-symmetric

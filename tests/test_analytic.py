@@ -55,10 +55,6 @@ class TestErfcc:
                        x, 40.0, limit=400)[0]
             assert abs(float(tg.erfcc(x)) - ref) < 1e-12
 
-    def test_vectorized(self):
-        out = tg.erfcc(np.array([0.0, 1.0]))
-        assert out.shape == (2,)
-
 
 class TestChainFreeEnergy:
     def test_degenerate_gaussian(self):

@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -60,7 +63,7 @@ class TestConfigSerialization:
         assert campaign == (
             "[run]\nkind = campaign\nname = tiny\nmodel = chain\nn = 30\ngenerations = 5\n"
             "replicas = 2\nseed = 9001\nt0 = 5.0\nlearning_rate = 0.0001\n"
-            "sk_pair_convention = ordered\noutput_dir = runs/tiny\n\n"
+            "output_dir = runs/tiny\n\n"
             "[ga]\npopulation_size = 12\ntournament_size = 2\ncrossover_rate = 0.2\n"
             "mutation_rate = 0.01\nselection_mode = tournament\nboltzmann_beta = 0.0\n\n"
             "[disorder]\nmean = 0.0\nstd = 1.0\n\n")
@@ -232,39 +235,6 @@ class TestRunExperiment:
         path.write_text(experiment.serialize_config(tiny_chain_config(tmp_path / "cli")))
         assert cli.main(["run", str(path)]) == 0
         assert (tmp_path / "cli" / "fit_report.txt").read_bytes() == want
-
-
-class TestPairConvention:
-    @staticmethod
-    def sk_config(out, conv):
-        n = 10
-        return experiment.ExperimentConfig(
-            name=f"sk-{conv}",
-            ga=tg.GAParams(population_size=8, genome_length=n, tournament_size=2,
-                           crossover_rate=0.2, mutation_rate=0.05),
-            disorder=tg.DisorderParams(0.0, 1.0, tg.ModelKind.SK),
-            t0=2.0, learning_rate=1e-2, generations=5, replicas=2, seed=41,
-            sk_pair_convention=conv, output_dir=str(out))
-
-    def test_unordered_campaign_threads_the_convention(self, tmp_path):
-        cfg = self.sk_config(tmp_path / "unordered", "unordered")
-        assert experiment.parse_config(experiment.serialize_config(cfg)) == cfg
-        half = experiment.run_experiment(cfg)
-        full = experiment.run_experiment(self.sk_config(tmp_path / "ordered", "ordered"))
-        # same seed, same initial population: every energy is scaled by exactly 1/2
-        assert np.array_equal(half.u_ga[:, 0], 0.5 * full.u_ga[:, 0])
-        for r in range(cfg.replicas):
-            assert experiment._build_disorder(cfg, r).pair_convention == "unordered"
-
-    def test_misspelt_convention_is_a_config_error(self, tmp_path, capsys):
-        cfg = self.sk_config(tmp_path / "bad", "unordered")
-        text = experiment.serialize_config(cfg)
-        path = tmp_path / "bad.ini"
-        path.write_text(text.replace("sk_pair_convention = unordered",
-                                     "sk_pair_convention = unorderd"))
-        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG == 2
-        assert "unorderd" in capsys.readouterr().err
-        assert not (tmp_path / "bad").exists()
 
 
 class TestStartTemperature:
@@ -747,6 +717,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fg1D" in out and "fgCSK" in out
 
+    def test_package_runs_without_scipy(self):
+        # numpy is the only runtime dependency: importing the package and running a
+        # verb must not load scipy, which only the tests and the benchmark use
+        code = ("import sys, thermoga, thermoga.cli\n"
+                "assert thermoga.cli.main(['list-presets']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(tg.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_run_verb_with_config(self, tmp_path, capsys):
         cfg = tiny_chain_config(tmp_path / "cli-run", generations=2, replicas=1)
         path = tmp_path / "tiny.ini"
@@ -832,6 +814,13 @@ class TestCli:
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: unknown key 'oracle' in section [run] of a campaign config\n")
+        # a config.ini written while a campaign still named its SK pair convention
+        capsys.readouterr()
+        path.write_text(campaign.replace("learning_rate = 0.0001\n",
+                                         "learning_rate = 0.0001\nsk_pair_convention = ordered\n"))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'sk_pair_convention' in section [run] of a campaign config\n")
         # a NaN or infinite beta would make every Boltzmann slot copy member 0 of its block
         boltzmann = campaign.replace("selection_mode = tournament", "selection_mode = boltzmann")
         assert boltzmann.count("boltzmann_beta = 0.0\n") == 1
@@ -857,6 +846,14 @@ class TestCli:
         assert capsys.readouterr().err == (
             "config error: unknown config kind 'oracle_suite'; known: campaign, mcmc_curve\n")
         assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "nohdr.ini"
+        path.write_text("name = x\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: File contains no section headers.")
+        assert f"file: {str(path)!r}, line: 1" in err
 
     def test_single_site_genome_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "n1.ini"
