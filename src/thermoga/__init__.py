@@ -51,7 +51,6 @@ from .ga import (
     GAParams,
     Population,
     boltzmann_select,
-    boltzmann_weights,
     crossover,
     draw_generations,
     init_population,
@@ -85,6 +84,7 @@ from .spin_systems import (
     chain_ground_state,
     energy_chain,
     enumerate_landscape,
+    gibbs_weights,
     replica_evaluator,
     sample_chain_disorder,
     sample_sk_disorder,

@@ -28,6 +28,7 @@ from .errors import (
     OracleInconsistencyError,
     SizeCapError,
 )
+from .spin_systems import gibbs_weights
 
 _GROUND_SLACK = 1e-9
 _MIN_FIT_POINTS = 10
@@ -201,12 +202,9 @@ def _schedule_beta_rate(t: float, schedule: str, xi: float | None):
 
 def holland_distribution(sys: HollandSystem, t: float, schedule: str = "linear",
                          xi: float | None = None) -> np.ndarray:
-    """p_i(t) = exp(beta_t g_i) / sum_j exp(beta_t g_j), max-shifted."""
+    """p_i(t) = exp(beta_t g_i) / sum_j exp(beta_t g_j): `gibbs_weights` of -g at T = 1/beta_t."""
     beta_t, _ = _schedule_beta_rate(t, schedule, xi)
-    x = beta_t * sys.fitness
-    x = x - x.max()
-    w = np.exp(x)
-    return w / w.sum()
+    return gibbs_weights(-sys.fitness, 1.0 / beta_t if beta_t else math.inf)
 
 
 def holland_residual(sys: HollandSystem, t: float, schedule: str = "linear",

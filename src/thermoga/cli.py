@@ -66,9 +66,6 @@ def main(argv=None) -> int:
         else:
             print(experiment.run_config(experiment.load_config(args.config), output_dir=args.out))
         return EXIT_OK
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -505,7 +505,7 @@ def oracle_check(seed: int = 424242, output_dir=None) -> tuple[bool, list[str]]:
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(20)):
         d = spin_systems.sample_chain_disorder(10, chain_params, child)
         e_gs, _ = spin_systems.chain_ground_state(d)
-        e_min = float(np.min(spin_systems.enumerate_landscape(d)[1]))
+        e_min = float(np.min(spin_systems.enumerate_landscape(d)))
         exact_all = exact_all and (e_gs == e_min)
         worst = max(worst, abs(e_gs - e_min))
     record("chain ground state == exhaustive minimum (20 instances, n=10)",
@@ -628,7 +628,7 @@ def list_presets() -> list[str]:
 def preset_configs(name: str, desk: bool = False):
     """(variant label, config) pairs for one preset."""
     if name not in _PRESET_BUILDERS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
     return _PRESET_BUILDERS[name](desk)
 
 

@@ -42,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .spin_systems import gibbs_weights
 
 EnergyEvaluator = Callable[[np.ndarray], np.ndarray]
 BlockEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -232,20 +233,8 @@ def tournament_select(pop: Population, draws: Draws) -> Population:
     return Population(members=pop.members[winners], energies=pop.energies[winners])
 
 
-def boltzmann_weights(energies: np.ndarray, beta_s: float) -> np.ndarray:
-    """Normalized weights proportional to exp(-beta_s * E) along the last axis.
-
-    Energies are shifted by their minimum before scaling, so a huge finite
-    beta_s sends every other member's exponent to -inf (weight 0), never NaN.
-    """
-    e = np.asarray(energies, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        w = np.exp(-beta_s * (e - e.min(axis=-1, keepdims=True)))
-    return w / w.sum(axis=-1, keepdims=True)
-
-
 def boltzmann_select(pop: Population, beta_s: float, draws: Draws) -> Population:
-    """M independent draws per block with probabilities exp(-beta_s E_a) / sum.
+    """M independent draws per block with probabilities `gibbs_weights` at T = 1/beta_s.
 
     Slot i of block r takes the member at which the block's normalized CDF
     first exceeds the slot's uniform: `cdf.searchsorted(u, side="right")`,
@@ -254,7 +243,8 @@ def boltzmann_select(pop: Population, beta_s: float, draws: Draws) -> Population
     if beta_s < 0:
         raise ValueError("beta_s must be nonnegative")
     m = _block_size(pop, draws)
-    cdf = np.cumsum(boltzmann_weights(pop.energies.reshape(-1, m), beta_s), axis=1)
+    T = 1.0 / beta_s if beta_s else math.inf
+    cdf = np.cumsum(gibbs_weights(pop.energies.reshape(-1, m), T), axis=1)
     cdf /= cdf[:, -1:]
     u = draws.selection.reshape(-1, m)
     idx = np.count_nonzero(cdf[:, None, :] <= u[:, :, None], axis=2).ravel()

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatchError, DomainError
 from .spin_systems import (
     ChainDisorder,
     SKDisorder,
     chain_energies,
     chain_ground_state,
     enumerate_landscape,
+    gibbs_weights,
     sk_energies,
 )
 
@@ -143,6 +144,8 @@ def metropolis_sweep(s, d, T: float, seed) -> np.ndarray:
     if not T > 0:
         raise DomainError("temperature must be positive")
     out = np.array(s, dtype=np.int8)
+    if out.shape != (d.n,):
+        raise DimensionMismatchError(f"configuration shape {out.shape} is not ({d.n},)")
     _walk(out[None, :], d, T, [np.random.default_rng(seed)], 1)
     out.setflags(write=False)
     return out
@@ -177,16 +180,15 @@ def estimate_internal_energy(d, T: float, opts: MCMCOptions, seed) -> tuple[floa
 
 
 def exact_gibbs_expectation(d, T: float) -> tuple[float, float]:
-    """Exact (U, Z) by full enumeration, log-sum-exp stabilized.
+    """Exact (U, Z) by full enumeration, the Gibbs weights normalized by their own sum.
 
-    Z can overflow to inf for very low temperatures; U stays finite.
+    Z overflows to inf (silently) at very low T; U holds down to the ground-state average.
     """
     if not T > 0:
         raise DomainError("temperature must be positive")
-    _, energies = enumerate_landscape(d)
-    beta = 1.0 / T
-    logw = -beta * energies
-    top = logw.max()
-    log_z = float(top + np.log(np.sum(np.exp(logw - top))))
-    w = np.exp(logw - log_z)
-    return float(w @ energies), float(np.exp(log_z))
+    energies = enumerate_landscape(d)
+    w = gibbs_weights(energies, T)
+    with np.errstate(over="ignore", under="ignore"):
+        # a ground state weighs 1 before normalizing, so w.max() is 1 / sum(exp(-(E - E_min)/T))
+        z = np.exp(-energies.min() / T) / w.max()
+        return float(w @ energies), float(z)

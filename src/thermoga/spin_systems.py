@@ -19,6 +19,10 @@ energies, flip costs and enumeration all read it from there.  The
 acceptance suite compares both conventions against the replica-symmetric
 predictions; ``SK_PAIR_CONVENTION`` below is the pinned default.
 
+`gibbs_weights` is the package's one normalizer of exp(-E/T), at any T in
+(0, inf]: exact small-N averages, Boltzmann selection and the Holland schema
+check all call it.
+
 All types are immutable after construction and all operations are pure
 functions of their arguments (sampling takes an explicit seed), so they are
 safe to call from any number of concurrent workers.
@@ -240,8 +244,8 @@ def states_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def enumerate_landscape(d: ChainDisorder | SKDisorder):
-    """Energies of all 2^n configurations, returned as (labels, energies).
+def enumerate_landscape(d: ChainDisorder | SKDisorder) -> np.ndarray:
+    """Energies of all 2^n configurations; entry k is the state labelled k + 1.
 
     Labels follow the `states_from_indices` bijection.  Hard-capped at
     n = 20; evaluation is chunked so peak memory stays modest.
@@ -249,13 +253,21 @@ def enumerate_landscape(d: ChainDisorder | SKDisorder):
     n = d.n
     if n > LANDSCAPE_CAP:
         raise SizeCapError(f"landscape enumeration capped at n = {LANDSCAPE_CAP}, got {n}")
-    labels = np.arange(1, (1 << n) + 1, dtype=np.int64)
-    energies = np.empty(labels.size)
-    for lo in range(0, labels.size, _ENUM_CHUNK):
-        block = states_from_indices(labels[lo : lo + _ENUM_CHUNK], n)
-        if isinstance(d, ChainDisorder):
-            energies[lo : lo + _ENUM_CHUNK] = chain_energies(block, d)
-        else:
-            energies[lo : lo + _ENUM_CHUNK] = sk_energies(block, d)
-    return labels, energies
+    energy = chain_energies if isinstance(d, ChainDisorder) else sk_energies
+    energies = np.empty(1 << n)
+    for lo in range(0, energies.size, _ENUM_CHUNK):
+        hi = min(lo + _ENUM_CHUNK, energies.size)
+        energies[lo:hi] = energy(states_from_indices(np.arange(lo + 1, hi + 1), n), d)
+    return energies
 
+
+def gibbs_weights(energies, T: float) -> np.ndarray:
+    """exp(-(E - E_min)/T) normalized by its own sum along the last axis, T in (0, inf].
+
+    Each ground state weighs exp(0) = 1 before normalizing, so a tiny T splits
+    the weight equally among the ground states and T = inf is uniform; neither warns.
+    """
+    e = np.asarray(energies, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        w = np.exp((e.min(axis=-1, keepdims=True) - e) / T)
+        return w / w.sum(axis=-1, keepdims=True)

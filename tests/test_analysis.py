@@ -173,6 +173,13 @@ class TestHolland:
             p = tg.holland_distribution(sys, t, "power", 0.7)
             assert abs(p.sum() - 1.0) <= 1e-12
 
+    def test_huge_beta_puts_all_weight_on_the_fittest(self):
+        sys = tg.HollandSystem(fitness=np.array([0.3, -1.0, 2.5, 2.4, 0.0]),
+                               schema_members=np.array([2]))
+        p = tg.holland_distribution(sys, 1e308)
+        assert np.array_equal(p, [0.0, 0.0, 1.0, 0.0, 0.0])
+        assert tg.holland_residual(sys, 1e308) == 0.0
+
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         h = 1e-6

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -334,7 +335,7 @@ def reference_tournament_select(pop, draws):
 
 
 def reference_boltzmann_select(pop, beta_s, draws):
-    cdf = np.cumsum(tg.boltzmann_weights(pop.energies, beta_s))
+    cdf = np.cumsum(tg.gibbs_weights(pop.energies, 1 / beta_s if beta_s else math.inf))
     cdf /= cdf[-1]
     idx = cdf.searchsorted(draws["uniforms"], side="right")   # as Generator.choice(p=...)
     return tg.Population(members=pop.members[idx], energies=pop.energies[idx])
@@ -781,8 +782,10 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "env").exists()
 
-    def test_unknown_preset_exit_code(self):
+    def test_unknown_preset_exit_code(self, capsys):
         assert cli.main(["preset", "nope"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: unknown preset 'nope'; available: "
+                                           + ", ".join(experiment.list_presets()) + "\n")
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

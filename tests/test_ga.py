@@ -147,11 +147,11 @@ class TestTournament:
 
 class TestBoltzmann:
     def test_zero_beta_uniform_weights(self):
-        w = tg.boltzmann_weights(np.array([0.0, -3.0, 2.0, 5.0]), 0.0)
+        w = tg.gibbs_weights(np.array([0.0, -3.0, 2.0, 5.0]), math.inf)
         assert np.allclose(w, 0.25)
 
     def test_exact_two_member_weights(self):
-        w = tg.boltzmann_weights(np.array([0.0, np.log(2)]), 1.0)
+        w = tg.gibbs_weights(np.array([0.0, np.log(2)]), 1.0)
         assert w == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
 
     def test_sampling_matches_weights(self, chain_setup):
@@ -189,7 +189,7 @@ class TestBoltzmann:
                          cuts=np.ones((2, 2), np.intp), flips=np.empty(0, np.intp))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weights = tg.boltzmann_weights(energies.reshape(2, 4), 1e308)
+            weights = tg.gibbs_weights(energies.reshape(2, 4), 1 / 1e308)
             out = tg.boltzmann_select(pop, 1e308, draws)
         assert np.array_equal(weights, [[0, 1, 0, 0], [0, 0, 1, 0]])
         assert np.array_equal(out.members[:, 0], [1] * 4 + [6] * 4)
@@ -207,9 +207,10 @@ class TestBoltzmann:
                          cross=np.zeros((blocks, m // 2)), cuts=np.ones((blocks, m // 2), np.intp),
                          flips=np.empty(0, np.intp))
         out = tg.boltzmann_select(pop, beta_s, draws)
+        T = 1 / beta_s if beta_s else math.inf
         want = np.concatenate([
             np.random.default_rng(30 + r).choice(
-                m, size=m, p=tg.boltzmann_weights(energies[r * m:(r + 1) * m], beta_s)) + r * m
+                m, size=m, p=tg.gibbs_weights(energies[r * m:(r + 1) * m], T)) + r * m
             for r in range(blocks)])
         assert np.array_equal(out.members[:, 0], want)   # member i's one site holds i
 

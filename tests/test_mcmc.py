@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import thermoga as tg
 from thermoga import analytic, experiment, mcmc
-from thermoga.errors import DomainError, SizeCapError
+from thermoga.errors import DimensionMismatchError, DomainError, SizeCapError
 from thermoga.mcmc import _walk
 
 CHAIN_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN)
@@ -59,6 +60,13 @@ class TestMetropolisSweep:
         with pytest.raises(DomainError):
             tg.metropolis_sweep(np.ones(10, dtype=np.int8), d, 0.0, 1)
 
+    @pytest.mark.parametrize("n_spins", [5, 9, 11, 12])
+    def test_wrong_length_is_a_dimension_error(self, n_spins):
+        # unchecked, a short chain configuration would sweep a truncated chain silently
+        for d in (tg.sample_chain_disorder(10, CHAIN_01, 8), tg.sample_sk_disorder(10, SK_01, 8)):
+            with pytest.raises(DimensionMismatchError):
+                tg.metropolis_sweep(np.ones(n_spins, dtype=np.int8), d, 1.0, 1)
+
 
 @pytest.mark.parametrize("call", [
     lambda T: tg.metropolis_sweep(np.ones(10, dtype=np.int8),
@@ -93,7 +101,7 @@ class TestExactGibbs:
     def test_infinite_temperature_limits(self):
         d = tg.sample_sk_disorder(8, SK_01, 12)
         u, z = tg.exact_gibbs_expectation(d, 1e12)
-        _, energies = tg.enumerate_landscape(d)
+        energies = tg.enumerate_landscape(d)
         assert u == pytest.approx(energies.mean(), abs=1e-9)
         assert z == pytest.approx(2**8, rel=1e-9)
 
@@ -101,6 +109,21 @@ class TestExactGibbs:
         d = tg.ChainDisorder(bonds=np.ones(25), params=tg.DisorderParams(1.0, 0.0, tg.ModelKind.CHAIN))
         with pytest.raises(SizeCapError):
             tg.exact_gibbs_expectation(d, 1.0)
+
+    @pytest.mark.parametrize("T", [1e-15, 1e-300, 1e-320])
+    def test_tiny_temperature_gives_the_ground_energy(self, T):
+        # this instance has two ground states: U is their energy, not twice it, and never nan
+        d = tg.sample_chain_disorder(12, CHAIN_01, 1)
+        u, _ = tg.exact_gibbs_expectation(d, T)
+        assert u == pytest.approx(tg.chain_ground_state(d)[0], rel=1e-12)
+
+    def test_low_temperature_is_silent(self):
+        d = tg.sample_chain_disorder(12, CHAIN_01, 1)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            u, z = tg.exact_gibbs_expectation(d, 1e-3)
+        assert u == pytest.approx(tg.chain_ground_state(d)[0], rel=1e-12)
+        assert z == math.inf
 
 
 class TestEstimator:
@@ -145,7 +168,7 @@ def test_detailed_balance_two_spin_histogram():
     # empirical visit frequencies of all 4 states match the exact Gibbs weights
     d = tg.ChainDisorder(bonds=[0.8], params=CHAIN_01)
     T = 1.0
-    _, energies = tg.enumerate_landscape(d)
+    energies = tg.enumerate_landscape(d)
     weights = np.exp(-energies / T)
     probs = weights / weights.sum()
 

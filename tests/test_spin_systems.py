@@ -217,7 +217,7 @@ class TestChainGroundState:
             d = tg.sample_chain_disorder(
                 n, chain_params(), np.random.SeedSequence(entropy=55, spawn_key=(inst,)))
             energy, _ = tg.chain_ground_state(d)
-            _, energies = tg.enumerate_landscape(d)
+            energies = tg.enumerate_landscape(d)
             assert energy == energies.min()
             assert energy <= energies.max()
 
@@ -225,9 +225,8 @@ class TestChainGroundState:
 class TestLandscape:
     def test_two_spin_order(self):
         d = tg.ChainDisorder(bonds=[1.0], params=chain_params())
-        labels, energies = tg.enumerate_landscape(d)
-        assert np.array_equal(labels, [1, 2, 3, 4])
-        assert np.array_equal(energies, [-1.0, 1.0, 1.0, -1.0])
+        # entry k is the state labelled k + 1: ++, +-, -+, --
+        assert np.array_equal(tg.enumerate_landscape(d), [-1.0, 1.0, 1.0, -1.0])
 
     def test_label_bijection_endpoints(self):
         states = tg.states_from_indices(np.array([1, 16]), 4)
@@ -236,13 +235,47 @@ class TestLandscape:
 
     def test_length_is_power_of_two(self):
         d = tg.sample_sk_disorder(6, sk_params(), 1)
-        labels, energies = tg.enumerate_landscape(d)
-        assert labels.size == energies.size == 64
+        energies = tg.enumerate_landscape(d)
+        assert energies.shape == (64,)
+        states = tg.states_from_indices(np.arange(1, 65), 6)
+        assert np.array_equal(energies, tg.sk_energies(states, d))
 
     def test_size_cap(self):
         d = tg.ChainDisorder(bonds=np.ones(21), params=chain_params(1.0, 0.0))
         with pytest.raises(SizeCapError):
             tg.enumerate_landscape(d)
+
+
+class TestGibbsWeights:
+    TEMPERATURES = (1e-320, 1e-308, 1e-3, 0.5, 1.0, 7.0, 1e300, math.inf)
+
+    def test_rows_sum_to_one(self):
+        energies = np.random.default_rng(3).normal(0.0, 5.0, (4, 9))
+        for T in self.TEMPERATURES:
+            w = tg.gibbs_weights(energies, T)
+            assert w.shape == energies.shape and np.all(w >= 0)
+            assert w.sum(axis=-1) == pytest.approx(np.ones(4), rel=1e-14)
+
+    def test_infinite_temperature_is_uniform(self):
+        assert np.array_equal(tg.gibbs_weights(np.array([0.0, -3.0, 2.0, 5.0]), math.inf),
+                              [0.25] * 4)
+
+    def test_energy_shift_leaves_weights_unchanged(self):
+        energies = np.random.default_rng(4).normal(0.0, 2.0, 16)
+        for T in (0.3, 1.0, 5.0):
+            for c in (-40.0, 3.5, 1e3):
+                assert tg.gibbs_weights(energies + c, T) == pytest.approx(
+                    tg.gibbs_weights(energies, T), rel=1e-9, abs=1e-300)
+
+    def test_tiny_temperature_splits_weight_among_ground_states(self):
+        w = tg.gibbs_weights(np.array([1.0, -2.0, 0.5, -2.0, -1.999]), 1e-308)
+        assert np.array_equal(w, [0.0, 0.5, 0.0, 0.5, 0.0])
+
+    def test_silent_at_every_temperature(self):
+        energies = np.random.default_rng(5).normal(0.0, 5.0, 64)
+        with np.errstate(all="raise"):
+            for T in self.TEMPERATURES:
+                assert np.all(np.isfinite(tg.gibbs_weights(energies, T)))
 
 
 def test_ground_state_density_convergence():
