@@ -78,7 +78,6 @@ from .spin_systems import (
     DisorderParams,
     ModelKind,
     SKDisorder,
-    SK_PAIR_CONVENTION,
     chain_energies,
     chain_evaluator,
     chain_ground_state,

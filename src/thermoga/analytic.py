@@ -52,7 +52,6 @@ from .errors import (
     ConvergenceError,
     DegenerateDisorderError,
     DomainError,
-    TemperatureMismatchError,
 )
 from .spin_systems import DisorderParams
 
@@ -202,6 +201,8 @@ class RSOrderParams:
     iterations: int
 
     def __post_init__(self):
+        if not self.temperature > 0:
+            raise DomainError("temperature must be positive")
         if abs(self.m) > 1 + 1e-12 or not -1e-12 <= self.q <= 1 + 1e-12:
             raise ValueError("order parameters out of range: |m| <= 1, 0 <= q <= 1")
         if self.residual < 0:
@@ -284,14 +285,9 @@ def sk_rs_fixed_point(T: float, params: DisorderParams) -> RSOrderParams:
     )
 
 
-def sk_internal_energy_density(T: float, params: DisorderParams, rs: RSOrderParams) -> float:
-    """U/N = -(J0/2) m^2 - (beta J^2 / 2)(1 - q^2) at beta = 1/T."""
-    if not T > 0:
-        raise DomainError("temperature must be positive")
-    if abs(rs.temperature - T) > 1e-12 * max(1.0, abs(T)):
-        raise TemperatureMismatchError(
-            f"order parameters solved at T = {rs.temperature}, requested T = {T}")
-    beta = 1.0 / T
+def sk_internal_energy_density(params: DisorderParams, rs: RSOrderParams) -> float:
+    """U/N = -(J0/2) m^2 - (beta J^2 / 2)(1 - q^2) at beta = 1/`rs.temperature`."""
+    beta = 1.0 / rs.temperature
     j0, j = params.mean, params.std
     return -0.5 * j0 * rs.m**2 - 0.5 * beta * j * j * (1.0 - rs.q**2)
 

@@ -25,10 +25,6 @@ class InsufficientDataError(ValueError):
     """Not enough data points inside the requested window."""
 
 
-class TemperatureMismatchError(ValueError):
-    """Order parameters were solved at a different temperature than requested."""
-
-
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration exhausted its budget.
 

@@ -465,13 +465,11 @@ def run_mcmc_curve(cfg: McmcCurveConfig, output_dir=None) -> list[Path]:
                      np.random.SeedSequence(entropy=cfg.seed, spawn_key=(d_idx, 0)))
                  for d_idx in range(cfg.realizations)]
     for ti, T in enumerate(temps):
-        arr = np.array([
+        means[ti], errs[ti] = learner.disorder_averaged_trajectory([
             mcmc.estimate_internal_energy(
                 dis, float(T), cfg.options,
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(d_idx, 1 + ti)))[0]
             for d_idx, dis in enumerate(disorders)])
-        means[ti] = arr.mean()
-        errs[ti] = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
 
     exact = np.array([(cfg.n - 1) * analytic.chain_internal_energy(float(T), cfg.disorder)
                       for T in temps])

@@ -109,6 +109,6 @@ def analytic_sk_oracle(n: int, params: DisorderParams) -> EnergyOracle:
 
     def evaluate(T: float) -> float:
         rs = analytic.sk_rs_fixed_point(T, params)
-        return n * analytic.sk_internal_energy_density(T, params, rs)
+        return n * analytic.sk_internal_energy_density(params, rs)
 
     return EnergyOracle(evaluator=evaluate)

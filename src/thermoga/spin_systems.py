@@ -10,14 +10,11 @@ the chain decouples, so its ground state is exact: align every tau_i with
 sgn(J_i), giving U_min = -sum_i |J_i|.
 
 The SK double sum runs over ordered pairs, so each unordered pair enters
-twice; an `SKDisorder` built with ``pair_convention="unordered"`` uses the
-single-counted sum -(1/N) sum_{i<j} J_ij s_i s_j (exactly half the ordered
-value) instead.  The convention is chosen once, on the disorder (through
-`sample_sk_disorder`; a campaign always uses the pinned default), and
-`SKDisorder.energy_scale` is the one place that turns it into a number;
-energies, flip costs and enumeration all read it from there.  The
-acceptance suite compares both conventions against the replica-symmetric
-predictions; ``SK_PAIR_CONVENTION`` below is the pinned default.
+twice.  `SKDisorder.energy_scale` (= 1/N) is the one place that defines the
+SK energy scale; energies, flip costs and enumeration all read it from
+there.  The single-counted sum -(1/N) sum_{i<j} J_ij s_i s_j is the same
+Hamiltonian with the couplings halved, ``SKDisorder(d.couplings / 2)``, and
+halving is exact in floating point.
 
 `gibbs_weights` is the package's one normalizer of exp(-E/T), at any T in
 (0, inf]: exact small-N averages, Boltzmann selection and the Holland schema
@@ -44,8 +41,6 @@ from .errors import (
 )
 
 LANDSCAPE_CAP = 20          # exhaustive enumeration capped at 2^20 states
-SK_PAIR_CONVENTION = "ordered"
-SK_CONVENTIONS = ("ordered", "unordered")
 _ENUM_CHUNK = 1 << 16
 
 
@@ -83,7 +78,6 @@ class ChainDisorder:
     """Open-chain bonds J_1..J_{N-1}."""
 
     bonds: np.ndarray
-    params: DisorderParams
 
     def __post_init__(self):
         bonds = _frozen_array(self.bonds, np.float64)
@@ -98,15 +92,11 @@ class ChainDisorder:
 
 @dataclass(frozen=True)
 class SKDisorder:
-    """Symmetric coupling matrix with zero diagonal, and how its pairs are counted."""
+    """Symmetric coupling matrix with zero diagonal."""
 
     couplings: np.ndarray
-    params: DisorderParams
-    pair_convention: str = SK_PAIR_CONVENTION
 
     def __post_init__(self):
-        if self.pair_convention not in SK_CONVENTIONS:
-            raise ValueError(f"unknown pair convention {self.pair_convention!r}")
         c = _frozen_array(self.couplings, np.float64)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
             raise InvalidSizeError("couplings must be a square matrix of size n >= 2")
@@ -122,8 +112,8 @@ class SKDisorder:
 
     @property
     def energy_scale(self) -> float:
-        """H = -energy_scale * s.C.s: 1/N over ordered pairs, 0.5/N over unordered."""
-        return 1.0 / self.n if self.pair_convention == "ordered" else 0.5 / self.n
+        """H = -energy_scale * s.C.s with s.C.s summed over ordered pairs."""
+        return 1.0 / self.n
 
 
 def sample_chain_disorder(n: int, params: DisorderParams, seed) -> ChainDisorder:
@@ -134,11 +124,10 @@ def sample_chain_disorder(n: int, params: DisorderParams, seed) -> ChainDisorder
         raise ValueError("params.model must be ModelKind.CHAIN")
     rng = np.random.default_rng(seed)
     bonds = rng.normal(params.mean, params.std, size=n - 1)
-    return ChainDisorder(bonds=bonds, params=params)
+    return ChainDisorder(bonds=bonds)
 
 
-def sample_sk_disorder(n: int, params: DisorderParams, seed,
-                       pair_convention: str = SK_PAIR_CONVENTION) -> SKDisorder:
+def sample_sk_disorder(n: int, params: DisorderParams, seed) -> SKDisorder:
     """Draw the upper triangle i.i.d. Gaussian and mirror it below the diagonal."""
     if n < 2:
         raise InvalidSizeError(f"SK model needs n >= 2 spins, got {n}")
@@ -149,7 +138,7 @@ def sample_sk_disorder(n: int, params: DisorderParams, seed,
     c = np.zeros((n, n))
     c[upper] = rng.normal(params.mean, params.std, size=upper[0].size)
     c = c + c.T
-    return SKDisorder(couplings=c, params=params, pair_convention=pair_convention)
+    return SKDisorder(couplings=c)
 
 
 def chain_energies(members: np.ndarray, d: ChainDisorder | np.ndarray) -> np.ndarray:

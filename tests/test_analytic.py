@@ -10,7 +10,6 @@ from thermoga.errors import (
     ConvergenceError,
     DegenerateDisorderError,
     DomainError,
-    TemperatureMismatchError,
 )
 
 CHAIN_01 = tg.DisorderParams(0.0, 1.0, tg.ModelKind.CHAIN)
@@ -232,20 +231,15 @@ class TestRSFixedPoint:
 class TestSKInternalEnergy:
     def test_paramagnetic_value(self):
         rs = tg.RSOrderParams(m=0.0, q=0.0, temperature=2.0, residual=0.0, iterations=1)
-        assert tg.sk_internal_energy_density(2.0, SK_01, rs) == pytest.approx(-0.25)
+        assert tg.sk_internal_energy_density(SK_01, rs) == pytest.approx(-0.25)
 
     def test_zero_temperature_prescription(self):
         # with q = 1 the thermal term vanishes and only -J0 m^2 / 2 remains
         params = tg.DisorderParams(2.0, 1.0, tg.ModelKind.SK)
         m = tg.sk_zero_temperature_magnetization(math.sqrt(2 / math.pi) * 2.0)
         rs = tg.RSOrderParams(m=m, q=1.0, temperature=1e-9, residual=0.0, iterations=1)
-        val = tg.sk_internal_energy_density(1e-9, params, rs)
+        val = tg.sk_internal_energy_density(params, rs)
         assert val == pytest.approx(-0.5 * 2.0 * m * m, rel=1e-12)
-
-    def test_temperature_mismatch(self):
-        rs = tg.RSOrderParams(m=0.0, q=0.0, temperature=2.0, residual=0.0, iterations=1)
-        with pytest.raises(TemperatureMismatchError):
-            tg.sk_internal_energy_density(1.0, SK_01, rs)
 
 
 class TestZeroTemperatureMagnetization:

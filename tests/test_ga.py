@@ -284,10 +284,10 @@ class TestChangedRowEnergies:
         assert np.array_equal(mutated.energies, model(mutated.members))
 
     @settings(max_examples=60, deadline=None)
-    @given(convention=st.sampled_from(["ordered", "unordered"]), **GA_CASES)
-    def test_sk_equals_full_recompute(self, convention, n, pairs, p_c, p_m, seed):
+    @given(**GA_CASES)
+    def test_sk_equals_full_recompute(self, n, pairs, p_c, p_m, seed):
         d = _random_disorder(tg.ModelKind.SK, n, seed)
-        model = tg.sk_evaluator(tg.SKDisorder(d.couplings, d.params, convention))
+        model = tg.sk_evaluator(d)
         params = make_params(population_size=2 * pairs, genome_length=n, mutation_rate=p_m)
         pop = tg.init_population(params, model, seed + 1)
         draws = tg.draw_generations([np.random.default_rng(seed + 2)], params)

@@ -139,7 +139,7 @@ class TestOracleFactories:
         oracle = tg.analytic_sk_oracle(100, SK_01)
         for T in (2.0, 1.8, 0.5):
             assert oracle.energy(T) == 100 * tg.sk_internal_energy_density(
-                T, SK_01, tg.sk_rs_fixed_point(T, SK_01))
+                SK_01, tg.sk_rs_fixed_point(T, SK_01))
 
     @pytest.mark.parametrize("j0", [0.0, 2.0])
     def test_analytic_sk_oracle_is_a_function_of_t_alone(self, j0):

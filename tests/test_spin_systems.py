@@ -71,11 +71,11 @@ class TestDisorderSampling:
 
 class TestChainEnergy:
     def test_aligned_ferromagnet(self):
-        d = tg.ChainDisorder(bonds=[1.0, 1.0], params=chain_params(1.0, 1.0))
+        d = tg.ChainDisorder(bonds=[1.0, 1.0])
         assert tg.energy_chain([1, 1, 1], d) == -2.0
 
     def test_cancelling_terms(self):
-        d = tg.ChainDisorder(bonds=[1.0, -1.0], params=chain_params())
+        d = tg.ChainDisorder(bonds=[1.0, -1.0])
         assert tg.energy_chain([1, -1, 1], d) == 0.0
 
     def test_reversed_summation_oracle(self):
@@ -117,17 +117,16 @@ class TestChainEnergy:
 
 class TestSKEnergy:
     def test_two_spin_hand_value(self):
-        d = tg.SKDisorder(couplings=[[0.0, 1.0], [1.0, 0.0]], params=sk_params(),
-                          pair_convention="ordered")
+        d = tg.SKDisorder(couplings=[[0.0, 1.0], [1.0, 0.0]])
         assert tg.sk_energies(np.array([[1, 1]]), d)[0] == -1.0
 
     def test_zero_couplings_zero_energy(self):
-        d = tg.SKDisorder(couplings=np.zeros((4, 4)), params=sk_params(1.0, 1.0))
+        d = tg.SKDisorder(couplings=np.zeros((4, 4)))
         assert tg.sk_energies(np.array([[1, -1, 1, -1]]), d)[0] == 0.0
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(2)
-        d = tg.sample_sk_disorder(10, sk_params(), 17, "ordered")
+        d = tg.sample_sk_disorder(10, sk_params(), 17)
         for _ in range(10):
             s = rng.integers(0, 2, 10) * 2 - 1
             brute = 0.0
@@ -137,13 +136,16 @@ class TestSKEnergy:
                         brute += d.couplings[i, j] * s[i] * s[j]
             assert tg.sk_energies(s[None], d)[0] == pytest.approx(-brute / 10, rel=1e-12)
 
-    def test_unordered_is_half_ordered(self):
+    def test_halved_couplings_halve_the_energy_exactly(self):
+        # the single-counted (i < j) SK sum is this halved instance; halving is
+        # exact in floating point, so every energy is bit-equal to half the ordered one
         rng = np.random.default_rng(3)
-        d = tg.sample_sk_disorder(8, sk_params(), 19, "ordered")
-        half = tg.SKDisorder(d.couplings, d.params, "unordered")
-        s = rng.integers(0, 2, 8) * 2 - 1
-        assert tg.sk_energies(s[None], half)[0] == pytest.approx(
-            0.5 * tg.sk_energies(s[None], d)[0], rel=1e-12)
+        for n in (2, 8, 40):
+            d = tg.sample_sk_disorder(n, sk_params(), 19)
+            half = tg.SKDisorder(d.couplings / 2)
+            members = rng.integers(0, 2, (16, n)) * 2 - 1
+            assert np.array_equal(tg.sk_energies(members, half),
+                                  0.5 * tg.sk_energies(members, d))
 
     def test_global_flip_symmetry(self):
         rng = np.random.default_rng(4)
@@ -151,38 +153,26 @@ class TestSKEnergy:
         s = rng.integers(0, 2, 12) * 2 - 1
         assert tg.sk_energies(s[None], d)[0] == tg.sk_energies(-s[None], d)[0]
 
-    def test_unknown_convention_rejected(self):
-        # sweeps and energies read the scale off the disorder, so a name rejected
-        # here can reach none of them
-        d = tg.sample_sk_disorder(6, sk_params(), 5)
-        with pytest.raises(ValueError, match="unorderd"):
-            tg.SKDisorder(d.couplings, d.params, pair_convention="unorderd")
-        with pytest.raises(ValueError, match="bogus"):
-            tg.sample_sk_disorder(6, sk_params(), 5, "bogus")
-
     def test_energy_scale_times_four_is_the_flip_scale(self):
         # multiplying by a power of two is exact, so 4 * scale is bit-equal to
-        # the 4/N (ordered) and 2/N (unordered) flip factors
+        # the 4/N flip factor
         for n in range(2, 300):
-            c = np.zeros((n, n))
-            for conv, flip in (("ordered", 4.0 / n), ("unordered", 2.0 / n)):
-                assert 4.0 * tg.SKDisorder(c, sk_params(1.0, 1.0), conv).energy_scale == flip
+            assert 4.0 * tg.SKDisorder(np.zeros((n, n))).energy_scale == 4.0 / n
 
     def test_asymmetric_matrix_rejected(self):
         c = np.zeros((3, 3))
         c[0, 1] = 1.0
         with pytest.raises(ValueError):
-            tg.SKDisorder(couplings=c, params=sk_params())
+            tg.SKDisorder(couplings=c)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 30), rows=st.integers(1, 12),
-           convention=st.sampled_from(["ordered", "unordered"]),
            mean=st.sampled_from([0.0, 0.7, -1.5]), seed=st.integers(0, 2**32 - 1))
-    def test_batch_matches_double_sum(self, n, rows, convention, mean, seed):
-        d = tg.sample_sk_disorder(n, sk_params(mean, 1.0), seed, convention)
+    def test_batch_matches_double_sum(self, n, rows, mean, seed):
+        d = tg.sample_sk_disorder(n, sk_params(mean, 1.0), seed)
         members = np.random.default_rng(seed).integers(0, 2, (rows, n), dtype=np.int8) * 2 - 1
         batch = tg.sk_energies(members, d)
-        scale = (1.0 if convention == "ordered" else 0.5) / n
+        scale = 1.0 / n
         tol = 1e-12 * scale * np.abs(d.couplings).sum()   # relative to the largest |E|
         for k, s in enumerate(members):
             brute = -scale * math.fsum(d.couplings[i, j] * s[i] * s[j]
@@ -195,13 +185,13 @@ class TestSKEnergy:
 
 class TestChainGroundState:
     def test_hand_example(self):
-        d = tg.ChainDisorder(bonds=[2.0, -3.0], params=chain_params())
+        d = tg.ChainDisorder(bonds=[2.0, -3.0])
         energy, config = tg.chain_ground_state(d)
         assert energy == -5.0
         assert np.array_equal(config, [1, 1, -1])
 
     def test_ferromagnetic_limit(self):
-        d = tg.ChainDisorder(bonds=np.ones(9), params=chain_params(1.0, 0.0))
+        d = tg.ChainDisorder(bonds=np.ones(9))
         energy, config = tg.chain_ground_state(d)
         assert energy == -9.0
         assert np.all(config == 1)
@@ -224,7 +214,7 @@ class TestChainGroundState:
 
 class TestLandscape:
     def test_two_spin_order(self):
-        d = tg.ChainDisorder(bonds=[1.0], params=chain_params())
+        d = tg.ChainDisorder(bonds=[1.0])
         # entry k is the state labelled k + 1: ++, +-, -+, --
         assert np.array_equal(tg.enumerate_landscape(d), [-1.0, 1.0, 1.0, -1.0])
 
@@ -241,7 +231,7 @@ class TestLandscape:
         assert np.array_equal(energies, tg.sk_energies(states, d))
 
     def test_size_cap(self):
-        d = tg.ChainDisorder(bonds=np.ones(21), params=chain_params(1.0, 0.0))
+        d = tg.ChainDisorder(bonds=np.ones(21))
         with pytest.raises(SizeCapError):
             tg.enumerate_landscape(d)
 
